@@ -111,7 +111,7 @@ impl Measurement {
 }
 
 /// Measures the fzf pipeline with checkpoints written at `every` ops, the
-/// exact `kav stream --checkpoint` path (snapshot probe + JSON + atomic
+/// exact `kav stream --checkpoint` path (snapshot probe + encode + atomic
 /// replace).
 fn measure_checkpointed(records: &[StreamRecord], shards: usize, every: u64) -> Measurement {
     let dir = std::env::temp_dir().join("kav_bench_checkpoints");

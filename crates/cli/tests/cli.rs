@@ -316,10 +316,19 @@ fn stream_fixture(name: &str) -> PathBuf {
     path
 }
 
+/// The JSON envelope of a format-2 checkpoint file: after the 8-byte
+/// magic, a u64 LE length and that many bytes of JSON.
+fn checkpoint_envelope(path: &PathBuf) -> String {
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(&bytes[..8], b"KAVCKPT2", "format-2 magic");
+    let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    String::from_utf8(bytes[16..16 + len].to_vec()).unwrap()
+}
+
 /// Extracts the `"lines"` field of a checkpoint file (flat JSON scrape —
 /// enough for tests).
 fn checkpoint_lines(path: &PathBuf) -> usize {
-    let text = std::fs::read_to_string(path).unwrap();
+    let text = checkpoint_envelope(path);
     let at = text.find("\"lines\":").expect("checkpoint records lines") + 8;
     text[at..].chars().take_while(char::is_ascii_digit).collect::<String>().parse().unwrap()
 }
@@ -341,8 +350,8 @@ fn stream_checkpointed_run_resumes_to_the_same_verdicts() {
     ]);
     assert!(checkpointed.status.success(), "{}", stderr(&checkpointed));
     assert_eq!(stdout(&checkpointed), stdout(&uninterrupted));
-    let text = std::fs::read_to_string(&ckpt).unwrap();
-    assert!(text.contains("\"format\":1"), "{text}");
+    let text = checkpoint_envelope(&ckpt);
+    assert!(text.contains("\"format\":2"), "{text}");
     assert!(text.contains("\"version\":4"), "240 records / 50 = 4 checkpoints: {text}");
 
     // Resuming from the checkpoint re-verifies the prefix fingerprint and
@@ -564,7 +573,7 @@ fn stream_genk_checkpoint_resume_round_trip() {
     ]);
     assert_eq!(checkpointed.status.code(), Some(0), "{}", stderr(&checkpointed));
     assert_eq!(stdout(&checkpointed), stdout(&uninterrupted));
-    assert!(std::fs::read_to_string(&ckpt).unwrap().contains("\"algo\":\"genk\""));
+    assert!(checkpoint_envelope(&ckpt).contains("\"algo\":\"genk\""));
 
     let resumed = kav(&["stream", "--resume", ckpt.to_str().unwrap(), input.to_str().unwrap()]);
     assert_eq!(resumed.status.code(), Some(0), "{}", stderr(&resumed));
@@ -1016,7 +1025,7 @@ fn stream_model_checkpoints_resume_under_the_recorded_model() {
     ]);
     assert_eq!(checkpointed.status.code(), Some(0), "{}", stderr(&checkpointed));
     assert_eq!(stdout(&checkpointed), stdout(&uninterrupted));
-    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let text = checkpoint_envelope(&ckpt);
     assert!(text.contains("\"model\":\"causal\""), "{text}");
 
     // Resume picks the model up from the checkpoint — no flag needed —
@@ -1054,7 +1063,7 @@ fn default_model_checkpoints_stay_pre_refactor_compatible() {
         "--checkpoint-every", "50", input,
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let text = checkpoint_envelope(&ckpt);
     assert!(!text.contains("\"model\""), "default model must stay implicit: {text}");
     let resumed = kav(&["stream", "--resume", ckpt.to_str().unwrap(), input]);
     assert_eq!(resumed.status.code(), Some(0), "{}", stderr(&resumed));

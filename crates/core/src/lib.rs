@@ -94,13 +94,13 @@ pub use stream::protocol;
 pub use stream::{
     fleet_verdict, merge_reports, merge_snapshots, partition_snapshot, read_checkpoint,
     split_ops_share,
-    worker_loop, Checkpoint, CheckpointDelta, CheckpointError, CheckpointWriter, DepthStats,
+    worker_loop, Checkpoint, CheckpointError, CheckpointWriter, DepthStats,
     DepthWindow, FleetConfig,
     FleetCoordinator, FleetSummary, KeyError, KeyReport, KeySnapshot, MergeError, OnlineError,
     OnlineSnapshot, OnlineVerifier, PipelineConfig, PipelineOutput, PipelineProgress,
     PipelineSnapshot, ProtocolError, ShardProgress, SnapshotError, SourcePosition,
     StreamPipeline, StreamReport, WorkerLink, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_DELTA_EVERY, DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS, DEFAULT_REPLAY_CAP,
+    DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS, DEFAULT_REPLAY_CAP,
 };
 pub use verdict::{Verdict, Verifier};
 pub use witness::{check_witness, TotalOrder, WitnessError};

@@ -1,14 +1,14 @@
 //! Atomic, versioned checkpoint files for long-running audits.
 //!
-//! A checkpoint is one JSON document: a [`PipelineSnapshot`] (the complete
-//! verification state) wrapped in a [`Checkpoint`] envelope that records
-//! *where in the input* the snapshot was taken — the number of consumed
-//! lines, a running [fingerprint](kav_history::fxhash::Fingerprint) of
-//! those lines, and the malformed-record tally. On resume the driver
-//! re-reads the input prefix, recomputes the fingerprint and compares: a
-//! match proves the resumed audit continues exactly the stream the
-//! checkpoint summarised (the *unbroken chain* a certified YES requires —
-//! see [`StreamReport::resumed_uncertified`](super::StreamReport::resumed_uncertified)).
+//! A checkpoint is a [`PipelineSnapshot`] (the complete verification
+//! state) wrapped in an envelope that records *where in the input* the
+//! snapshot was taken — the number of consumed lines, a running
+//! [fingerprint](kav_history::fxhash::Fingerprint) of those lines, and the
+//! malformed-record tally. On resume the driver re-reads the input prefix,
+//! recomputes the fingerprint and compares: a match proves the resumed
+//! audit continues exactly the stream the checkpoint summarised (the
+//! *unbroken chain* a certified YES requires — see
+//! [`StreamReport::resumed_uncertified`](super::StreamReport::resumed_uncertified)).
 //!
 //! [`CheckpointWriter`] overwrites a single path **atomically** — the new
 //! checkpoint is written to a sibling temp file, synced, then renamed over
@@ -18,20 +18,44 @@
 //! last version back to [`CheckpointWriter::starting_at`] so the chain
 //! keeps counting across processes.
 //!
-//! # Delta checkpoints
+//! # File layout (format 2)
 //!
-//! Serializing every key at every checkpoint makes the snapshot cost
-//! proportional to the *key population*, not to the traffic since the
-//! last checkpoint. The writer therefore keeps the last state it wrote
-//! and, between full snapshots, serializes only a [`CheckpointDelta`]:
-//! the keys whose adapter state changed, the keys that finalised (new
-//! reports/errors), and the keys whose live state disappeared. The file
-//! still contains one self-sufficient JSON document — the last full
-//! `pipeline` snapshot plus the accumulated `deltas` — and is still
-//! replaced atomically; after [`DEFAULT_DELTA_EVERY`] deltas the next
-//! write is a full snapshot again, re-basing the file.
-//! [`read_checkpoint`] resolves the deltas into one merged
-//! [`PipelineSnapshot`], so resume paths never see them.
+//! Every write is a full snapshot, so a checkpoint costs what the
+//! resident state costs: the bulk of a snapshot is each key's buffered
+//! operations and retirement ring, and those are stored as fixed-width
+//! binary columns rather than JSON.
+//!
+//! ```text
+//! offset  size  field
+//!      0     8  magic "KAVCKPT2"
+//!      8     8  envelope length E (u64 LE)
+//!     16     E  envelope (JSON)
+//!   16+E     C  column section (C bytes, recorded in the envelope)
+//! ```
+//!
+//! The envelope holds `format`, `version`, `source`, the column
+//! section's byte length and [`Fingerprint`] (`columns`), and the
+//! `pipeline` snapshot with every key's `builder.buffer` and
+//! `builder.retired_recent` emptied; all other fields stay JSON. The
+//! column section has one entry per key, in the envelope's `states`
+//! order: a u64 op count, that many ops as 45-byte v2 frames (see
+//! [`kav_history::frame`]; the client id survives for causal audits),
+//! then a u64 ring length and that many u64 values, all little-endian.
+//!
+//! [`read_checkpoint`] distrusts the columns: it checks the length and
+//! checksum first, and every count against the bytes that remain before
+//! allocating for it. The decoded snapshot then goes through the same
+//! `resume` validation as any other snapshot.
+//!
+//! # Format 1
+//!
+//! Earlier builds wrote one JSON document (a file starting with `{`): the
+//! last full snapshot plus up to eight per-key *delta* hops. Deltas did
+//! not pay off — any key whose state changed at all was re-shipped in
+//! full, so on a multi-key stream each delta was as large as a full
+//! snapshot — and this build no longer writes them. [`read_checkpoint`]
+//! still reads such files, resolving their deltas (and rejecting
+//! inconsistent chains), so old checkpoints keep resuming.
 //!
 //! # Examples
 //!
@@ -61,19 +85,31 @@
 
 use super::pipeline::{KeyError, KeyReport, KeySnapshot, PipelineSnapshot};
 use super::OnlineSnapshot;
-use kav_history::frame::KeyRange;
+use kav_history::frame::{decode_frame_v2, encode_frame_v2, KeyRange, FRAME_LEN_V2};
+use kav_history::fxhash::Fingerprint;
+use kav_history::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
+use std::mem;
 use std::path::{Path, PathBuf};
 
 /// Version of the checkpoint file format itself (not of any one file):
-/// bumped when the schema changes incompatibly, so a reader can reject
+/// bumped when the layout changes incompatibly, so a reader can reject
 /// files written by a different era instead of mis-parsing them.
-pub const CHECKPOINT_FORMAT: u32 = 1;
+pub const CHECKPOINT_FORMAT: u32 = 2;
+
+/// The JSON format earlier builds wrote; still read, never written.
+const LEGACY_FORMAT: u32 = 1;
+
+/// Leading bytes of a format-2 checkpoint file.
+const MAGIC: [u8; 8] = *b"KAVCKPT2";
+
+/// Width of one retirement-ring entry in the column section.
+const RING_ENTRY_LEN: usize = 8;
 
 /// Default checkpoint cadence, in ingested operations. Chosen so that at
 /// typical single-core end-to-end throughput (~1-2M ops/s) the audit
@@ -81,12 +117,6 @@ pub const CHECKPOINT_FORMAT: u32 = 1;
 /// stop-the-world snapshot cost well under 10% of ingest — see
 /// `exp_stream_throughput`'s checkpoint axis and `docs/OPERATIONS.md`.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1_000_000;
-
-/// Default number of delta checkpoints written between two full
-/// snapshots (see the module docs). Bounds both the resolution work on
-/// read and the file growth between re-bases; `0` disables deltas
-/// entirely (every checkpoint is full).
-pub const DEFAULT_DELTA_EVERY: usize = 8;
 
 /// Where in the input stream a checkpoint was taken.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -103,53 +133,20 @@ pub struct SourcePosition {
     pub malformed_samples: Vec<String>,
 }
 
-/// One incremental checkpoint hop: what changed since the previous
-/// version (see the module docs on delta checkpoints).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointDelta {
-    /// The chain version this delta advanced the checkpoint to.
-    pub version: u64,
-    /// [`PipelineSnapshot::ops_routed`] as of this hop.
-    pub ops_routed: u64,
-    /// [`PipelineSnapshot::uncertified`] as of this hop.
-    pub uncertified: bool,
-    /// [`PipelineSnapshot::partition`] as of this hop — the shard map the
-    /// delta was produced under. Resolution rejects a delta whose
-    /// partition disagrees with its base: per-key state diffed under one
-    /// key-range assignment must not be replayed onto a snapshot taken
-    /// under another (the writer re-bases instead of writing such a
-    /// delta, so only a corrupted or hand-spliced file trips this).
-    #[serde(default)]
-    pub partition: Option<KeyRange>,
-    /// Keys whose live adapter state changed (or first appeared), with
-    /// their full new state; sorted by key.
-    pub changed: Vec<KeySnapshot>,
-    /// Keys whose live state disappeared (they finalised), sorted.
-    pub removed: Vec<u64>,
-    /// Finalised reports that appeared this hop, sorted by key.
-    pub new_reports: Vec<KeyReport>,
-    /// Stream errors that appeared this hop, sorted by key.
-    pub new_errors: Vec<KeyError>,
-}
-
-/// One complete, self-describing checkpoint file.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One complete, self-describing checkpoint, as [`read_checkpoint`]
+/// returns it.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
-    /// Always [`CHECKPOINT_FORMAT`] for files this build writes.
+    /// The format the file was written in: [`CHECKPOINT_FORMAT`], or 1
+    /// for a file from an earlier build.
     pub format: u32,
     /// Monotonically increasing version of this audit's checkpoint chain,
     /// starting at 1.
     pub version: u64,
-    /// Input position the *latest* state (base plus deltas) corresponds to.
+    /// Input position the snapshot corresponds to.
     pub source: SourcePosition,
-    /// The last full snapshot written (the delta base).
+    /// The verification state at that position.
     pub pipeline: PipelineSnapshot,
-    /// Incremental hops since `pipeline` was written, oldest first.
-    /// [`read_checkpoint`] resolves them into `pipeline` and clears this,
-    /// so consumers always see the merged state. Absent (empty) in files
-    /// written before deltas existed.
-    #[serde(default)]
-    pub deltas: Vec<CheckpointDelta>,
 }
 
 /// A checkpoint file that cannot be used.
@@ -171,8 +168,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Parse(e) => write!(f, "not a valid checkpoint: {e}"),
             CheckpointError::Format(v) => write!(
                 f,
-                "checkpoint format {v} is not supported (this build reads format \
-                 {CHECKPOINT_FORMAT})"
+                "checkpoint format {v} is not supported (this build reads formats \
+                 {CHECKPOINT_FORMAT} and {LEGACY_FORMAT})"
             ),
         }
     }
@@ -193,102 +190,301 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// Reads and validates a checkpoint file, resolving any delta hops into
-/// one merged snapshot (the returned checkpoint always has empty
-/// [`deltas`](Checkpoint::deltas)).
+fn invalid(e: impl ToString) -> CheckpointError {
+    CheckpointError::Parse(e.to_string())
+}
+
+/// Byte length and checksum of a format-2 file's column section.
+#[derive(Serialize, Deserialize)]
+struct ColumnsDigest {
+    bytes: u64,
+    /// [`Fingerprint`] of the whole section as one chunk.
+    fingerprint: u64,
+}
+
+impl ColumnsDigest {
+    fn of(columns: &[u8]) -> Self {
+        let mut fingerprint = Fingerprint::new();
+        fingerprint.update(columns);
+        ColumnsDigest { bytes: columns.len() as u64, fingerprint: fingerprint.value() }
+    }
+}
+
+/// The JSON head of a format-2 file (see the module docs).
+#[derive(Serialize, Deserialize)]
+struct Envelope {
+    format: u32,
+    version: u64,
+    source: SourcePosition,
+    columns: ColumnsDigest,
+    pipeline: PipelineSnapshot,
+}
+
+/// Reads and validates a checkpoint file of either readable format. A
+/// format-1 file's delta hops are resolved into one snapshot.
 ///
 /// # Errors
 ///
 /// [`CheckpointError`] when the file is unreadable, unparseable, from an
-/// incompatible format era, carries version 0 (never written), or its
-/// delta chain is inconsistent.
+/// incompatible format era, carries version 0 (never written), has a
+/// damaged column section, or (format 1) its delta chain is inconsistent.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
-    let text = fs::read_to_string(path)?;
-    let checkpoint: Checkpoint =
-        serde_json::from_str(&text).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-    if checkpoint.format != CHECKPOINT_FORMAT {
-        return Err(CheckpointError::Format(checkpoint.format));
+    parse_checkpoint(&fs::read(path)?)
+}
+
+fn parse_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    if bytes.first() == Some(&b'{') {
+        return parse_legacy(bytes);
     }
+    let Some(rest) = bytes.strip_prefix(&MAGIC) else {
+        return Err(invalid("unrecognised leading bytes (neither format 2 nor format 1)"));
+    };
+    let Some((len, rest)) = rest.split_first_chunk::<8>() else {
+        return Err(invalid("truncated before the envelope length"));
+    };
+    let len = u64::from_le_bytes(*len);
+    if len > rest.len() as u64 {
+        return Err(invalid(format!(
+            "envelope of {len} bytes, but only {} bytes follow",
+            rest.len()
+        )));
+    }
+    let (head, columns) = rest.split_at(len as usize);
+    let envelope: Envelope = parse_json(head, CHECKPOINT_FORMAT)?;
+    if envelope.version == 0 {
+        return Err(invalid("checkpoint version 0"));
+    }
+    let digest = ColumnsDigest::of(columns);
+    if digest.bytes != envelope.columns.bytes {
+        return Err(invalid(format!(
+            "column section is {} bytes, the envelope records {}",
+            digest.bytes, envelope.columns.bytes
+        )));
+    }
+    if digest.fingerprint != envelope.columns.fingerprint {
+        return Err(invalid("column section fails its checksum"));
+    }
+    let mut pipeline = envelope.pipeline;
+    decode_columns(&mut pipeline, columns)?;
+    Ok(Checkpoint {
+        format: CHECKPOINT_FORMAT,
+        version: envelope.version,
+        source: envelope.source,
+        pipeline,
+    })
+}
+
+/// Parses a JSON document whose `format` field must equal `format`;
+/// the format is checked first, so a file from another era is reported
+/// as such rather than as a schema mismatch.
+fn parse_json<T: Deserialize>(bytes: &[u8], format: u32) -> Result<T, CheckpointError> {
+    let text = std::str::from_utf8(bytes).map_err(invalid)?;
+    let value: serde_json::Value = serde_json::from_str(text).map_err(invalid)?;
+    let found = value.get("format").map(u32::from_value).transpose().map_err(invalid)?;
+    match found {
+        None => Err(invalid("missing field `format`")),
+        Some(found) if found != format => Err(CheckpointError::Format(found)),
+        Some(_) => T::from_value(&value).map_err(invalid),
+    }
+}
+
+/// Moves every key's buffer and retirement ring out of `pipeline` into
+/// a column section (see the module docs).
+fn encode_columns(pipeline: &mut PipelineSnapshot) -> Vec<u8> {
+    let (ops, ring) = pipeline.states.iter().fold((0, 0), |(ops, ring), entry| {
+        let builder = &entry.state.builder;
+        (ops + builder.buffer.len(), ring + builder.retired_recent.len())
+    });
+    let mut out = Vec::with_capacity(
+        ops * FRAME_LEN_V2 + ring * RING_ENTRY_LEN + pipeline.states.len() * 16,
+    );
+    for entry in &mut pipeline.states {
+        let builder = &mut entry.state.builder;
+        let buffer = mem::take(&mut builder.buffer);
+        out.extend_from_slice(&(buffer.len() as u64).to_le_bytes());
+        for op in &buffer {
+            encode_frame_v2(entry.key, op, &mut out);
+        }
+        let ring = mem::take(&mut builder.retired_recent);
+        out.extend_from_slice(&(ring.len() as u64).to_le_bytes());
+        for value in &ring {
+            out.extend_from_slice(&value.0.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The inverse of [`encode_columns`], on untrusted bytes.
+fn decode_columns(
+    pipeline: &mut PipelineSnapshot,
+    mut columns: &[u8],
+) -> Result<(), CheckpointError> {
+    for entry in &mut pipeline.states {
+        let key = entry.key;
+        let builder = &mut entry.state.builder;
+        if !builder.buffer.is_empty() || !builder.retired_recent.is_empty() {
+            return Err(invalid(format!("key {key}: envelope carries inline operations")));
+        }
+        let ops = take_count(&mut columns, FRAME_LEN_V2, key, "operations")?;
+        let (frames, rest) = columns.split_at(ops * FRAME_LEN_V2);
+        columns = rest;
+        builder.buffer.reserve_exact(ops);
+        for frame in frames.chunks_exact(FRAME_LEN_V2) {
+            match decode_frame_v2(frame) {
+                Ok((frame_key, op)) if frame_key == key => builder.buffer.push(op),
+                Ok((other, _)) => {
+                    return Err(invalid(format!("key {key}: column holds a frame of key {other}")))
+                }
+                Err(kind) => return Err(invalid(format!("key {key}: invalid kind byte {kind}"))),
+            }
+        }
+        let ring = take_count(&mut columns, RING_ENTRY_LEN, key, "retired values")?;
+        if let Some(horizon) = builder.horizon.filter(|&horizon| ring > horizon) {
+            return Err(invalid(format!(
+                "key {key}: {ring} retired values exceed the horizon {horizon}"
+            )));
+        }
+        let (values, rest) = columns.split_at(ring * RING_ENTRY_LEN);
+        columns = rest;
+        builder.retired_recent = values
+            .as_chunks::<RING_ENTRY_LEN>()
+            .0
+            .iter()
+            .map(|bytes| Value(u64::from_le_bytes(*bytes)))
+            .collect();
+    }
+    if !columns.is_empty() {
+        return Err(invalid(format!("{} bytes after the last key's columns", columns.len())));
+    }
+    Ok(())
+}
+
+/// Takes a u64 element count off the front of `columns`, checking that
+/// that many `width`-byte elements fit in what remains — before anything
+/// is allocated for them.
+fn take_count(
+    columns: &mut &[u8],
+    width: usize,
+    key: u64,
+    what: &str,
+) -> Result<usize, CheckpointError> {
+    let Some((count, rest)) = columns.split_first_chunk::<8>() else {
+        return Err(invalid(format!("key {key}: column section truncated")));
+    };
+    let count = u64::from_le_bytes(*count);
+    if count > (rest.len() / width) as u64 {
+        return Err(invalid(format!(
+            "key {key}: {count} {what} claimed, but only {} bytes remain",
+            rest.len()
+        )));
+    }
+    *columns = rest;
+    Ok(count as usize)
+}
+
+/// A format-1 file: one JSON document, the last full snapshot plus the
+/// delta hops written since.
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize, Clone))]
+struct LegacyCheckpoint {
+    format: u32,
+    version: u64,
+    /// Input position of the latest state (base plus deltas).
+    source: SourcePosition,
+    /// The delta base.
+    pipeline: PipelineSnapshot,
+    /// Hops since `pipeline`, oldest first; absent in the earliest files.
+    #[serde(default)]
+    deltas: Vec<LegacyDelta>,
+}
+
+/// One format-1 delta hop: what changed since the previous version.
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize, Clone))]
+struct LegacyDelta {
+    /// The chain version this hop advanced the checkpoint to.
+    version: u64,
+    ops_routed: u64,
+    uncertified: bool,
+    /// The shard map the hop was produced under; must match the base's.
+    #[serde(default)]
+    partition: Option<KeyRange>,
+    /// Keys whose live state changed or first appeared, in full.
+    changed: Vec<KeySnapshot>,
+    /// Keys whose live state disappeared (they finalised).
+    removed: Vec<u64>,
+    new_reports: Vec<KeyReport>,
+    new_errors: Vec<KeyError>,
+}
+
+fn parse_legacy(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let checkpoint: LegacyCheckpoint = parse_json(bytes, LEGACY_FORMAT)?;
     if checkpoint.version == 0 {
-        return Err(CheckpointError::Parse("checkpoint version 0".into()));
+        return Err(invalid("checkpoint version 0"));
     }
     resolve_deltas(checkpoint)
 }
 
-/// Folds a checkpoint's delta hops into its base snapshot.
-fn resolve_deltas(mut checkpoint: Checkpoint) -> Result<Checkpoint, CheckpointError> {
-    if checkpoint.deltas.is_empty() {
-        return Ok(checkpoint);
+/// Folds a format-1 checkpoint's delta hops into its base snapshot.
+fn resolve_deltas(checkpoint: LegacyCheckpoint) -> Result<Checkpoint, CheckpointError> {
+    let LegacyCheckpoint { format, version, source, mut pipeline, deltas } = checkpoint;
+    let resolved = |pipeline| Ok(Checkpoint { format, version, source, pipeline });
+    if deltas.is_empty() {
+        return resolved(pipeline);
     }
-    let bad = |msg: String| Err(CheckpointError::Parse(msg));
-    let pipeline = &mut checkpoint.pipeline;
     let mut states: BTreeMap<u64, OnlineSnapshot> =
         pipeline.states.drain(..).map(|entry| (entry.key, entry.state)).collect();
     let mut last_version = 0u64;
-    for delta in &checkpoint.deltas {
+    for delta in deltas {
         if delta.version <= last_version {
-            return bad(format!(
+            return Err(invalid(format!(
                 "delta version {} does not ascend past {last_version}",
                 delta.version
-            ));
+            )));
         }
         last_version = delta.version;
         if delta.partition != pipeline.partition {
-            return bad(format!(
+            return Err(invalid(format!(
                 "delta version {} was produced under shard map {:?} but its base snapshot \
                  covers {:?} — the checkpoint mixes states from different partitions",
                 delta.version, delta.partition, pipeline.partition
-            ));
+            )));
         }
-        for entry in &delta.changed {
-            states.insert(entry.key, entry.state.clone());
+        for entry in delta.changed {
+            states.insert(entry.key, entry.state);
         }
         for key in &delta.removed {
             if states.remove(key).is_none() {
-                return bad(format!("delta removes unknown key {key}"));
+                return Err(invalid(format!("delta removes unknown key {key}")));
             }
         }
-        pipeline.reports.extend(delta.new_reports.iter().cloned());
-        pipeline.errors.extend(delta.new_errors.iter().cloned());
+        pipeline.reports.extend(delta.new_reports);
+        pipeline.errors.extend(delta.new_errors);
         pipeline.ops_routed = delta.ops_routed;
         pipeline.uncertified = delta.uncertified;
     }
-    if last_version != checkpoint.version {
-        return bad(format!(
-            "last delta version {last_version} disagrees with checkpoint version {}",
-            checkpoint.version
-        ));
+    if last_version != version {
+        return Err(invalid(format!(
+            "last delta version {last_version} disagrees with checkpoint version {version}"
+        )));
     }
     pipeline.states = states.into_iter().map(|(key, state)| KeySnapshot { key, state }).collect();
-    // Keys are sorted so the resolved snapshot is byte-for-byte the one a
-    // full write of the same state would contain; duplicate finalised
-    // keys (corruption) are left in place for the resume validation to
-    // reject.
+    // Keys are sorted so the resolved snapshot is the one a full write of
+    // the same state would contain; duplicate finalised keys (corruption)
+    // are left in place for the resume validation to reject.
     pipeline.reports.sort_by_key(|entry| entry.key);
     pipeline.errors.sort_by_key(|entry| entry.key);
-    checkpoint.deltas.clear();
-    Ok(checkpoint)
+    resolved(pipeline)
 }
 
 /// Writes an audit's checkpoint chain to a single path, atomically and
-/// with monotone versions; between full snapshots only per-key deltas
-/// are serialized (see the module docs).
+/// with monotone versions; every write is a full format-2 snapshot (see
+/// the module docs).
 #[derive(Debug)]
 pub struct CheckpointWriter {
     path: PathBuf,
     tmp: PathBuf,
     version: u64,
-    /// Full snapshot cadence: a full write after this many deltas
-    /// (`0` = every write is full).
-    delta_every: usize,
-    /// Serialized base snapshot of the current file, reused verbatim by
-    /// delta writes (unchanged keys are not re-serialized).
-    base_json: String,
-    /// Serialized deltas accumulated since the base, oldest first.
-    delta_jsons: Vec<String>,
-    /// The resolved state as of the last successful write — what the
-    /// next delta diffs against.
-    prev: Option<PipelineSnapshot>,
 }
 
 impl CheckpointWriter {
@@ -299,28 +495,12 @@ impl CheckpointWriter {
 
     /// A writer continuing an existing chain: the next write produces
     /// `last_version + 1`. Pass the version of the checkpoint the audit
-    /// resumed from. The first write after a resume is always a full
-    /// snapshot (the previous file's base is unknown to this process).
+    /// resumed from.
     pub fn starting_at(path: impl Into<PathBuf>, last_version: u64) -> Self {
         let path = path.into();
         let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
-        CheckpointWriter {
-            path,
-            tmp: PathBuf::from(tmp),
-            version: last_version,
-            delta_every: DEFAULT_DELTA_EVERY,
-            base_json: String::new(),
-            delta_jsons: Vec::new(),
-            prev: None,
-        }
-    }
-
-    /// Sets the full-snapshot cadence: a full write after `every` deltas,
-    /// `0` making every checkpoint a full snapshot.
-    pub fn delta_every(mut self, every: usize) -> Self {
-        self.delta_every = every;
-        self
+        CheckpointWriter { path, tmp: PathBuf::from(tmp), version: last_version }
     }
 
     /// The version of the last checkpoint written (0 before the first).
@@ -333,124 +513,39 @@ impl CheckpointWriter {
         &self.path
     }
 
-    /// Persists one checkpoint: serialize (fully, or as a delta against
-    /// the previous write), write to the sibling temp file, sync, rename
-    /// over `path`. Returns the new version.
+    /// Persists one checkpoint: encode, write to the sibling temp file,
+    /// sync, rename over `path`. Returns the new version.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; the previous checkpoint (if any) is still
-    /// intact — and the writer's delta chain unchanged — on every error
-    /// path.
+    /// intact, and the writer's version unchanged, on every error path.
     pub fn write(
         &mut self,
         source: SourcePosition,
-        pipeline: PipelineSnapshot,
+        mut pipeline: PipelineSnapshot,
     ) -> io::Result<u64> {
-        let serialize_err =
-            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let version = self.version + 1;
-        // A partition change (a shard hand-off or split re-tagged the
-        // pipeline) forces a re-base: a delta diffed under the new shard
-        // map against a base from the old one is exactly the mixed chain
-        // `read_checkpoint` rejects.
-        let repartitioned = match self.prev.as_ref() {
-            None => true,
-            Some(prev) => prev.partition != pipeline.partition,
+        let columns = encode_columns(&mut pipeline);
+        let envelope = Envelope {
+            format: CHECKPOINT_FORMAT,
+            version,
+            source,
+            columns: ColumnsDigest::of(&columns),
+            pipeline,
         };
-        let full = self.delta_every == 0
-            || repartitioned
-            || self.delta_jsons.len() >= self.delta_every;
-        // Serialize the new piece, but mutate the writer's chain state
-        // only after the rename succeeds.
-        let (base_json, delta_json) = if full {
-            (Some(serde_json::to_string(&pipeline).map_err(serialize_err)?), None)
-        } else {
-            let prev = self.prev.as_ref().expect("non-full write has a previous state");
-            let delta = diff_snapshots(prev, &pipeline, version);
-            (None, Some(serde_json::to_string(&delta).map_err(serialize_err)?))
-        };
-        let source_json = serde_json::to_string(&source).map_err(serialize_err)?;
-        let base = base_json.as_deref().unwrap_or(&self.base_json);
-        let mut deltas = String::new();
-        if let Some(delta) = &delta_json {
-            for d in &self.delta_jsons {
-                deltas.push_str(d);
-                deltas.push(',');
-            }
-            deltas.push_str(delta);
-        }
-        // Hand-assembled envelope in the derive's field order, so the
-        // file is byte-identical to serializing a `Checkpoint` — without
-        // re-serializing the unchanged base on delta writes.
-        let json = format!(
-            "{{\"format\":{CHECKPOINT_FORMAT},\"version\":{version},\"source\":{source_json},\
-             \"pipeline\":{base},\"deltas\":[{deltas}]}}"
-        );
+        let head = serde_json::to_string(&envelope)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let mut file = fs::File::create(&self.tmp)?;
-        file.write_all(json.as_bytes())?;
-        file.write_all(b"\n")?;
+        file.write_all(&MAGIC)?;
+        file.write_all(&(head.len() as u64).to_le_bytes())?;
+        file.write_all(head.as_bytes())?;
+        file.write_all(&columns)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&self.tmp, &self.path)?;
-        match (base_json, delta_json) {
-            (Some(base), _) => {
-                self.base_json = base;
-                self.delta_jsons.clear();
-            }
-            (None, Some(delta)) => self.delta_jsons.push(delta),
-            (None, None) => unreachable!("every write is either full or a delta"),
-        }
-        self.prev = Some(pipeline);
         self.version = version;
         Ok(version)
-    }
-}
-
-/// What changed between two consecutive checkpoint states.
-fn diff_snapshots(
-    prev: &PipelineSnapshot,
-    next: &PipelineSnapshot,
-    version: u64,
-) -> CheckpointDelta {
-    let prev_states: HashMap<u64, &OnlineSnapshot> =
-        prev.states.iter().map(|entry| (entry.key, &entry.state)).collect();
-    let changed: Vec<KeySnapshot> = next
-        .states
-        .iter()
-        .filter(|entry| prev_states.get(&entry.key) != Some(&&entry.state))
-        .cloned()
-        .collect();
-    let next_keys: HashSet<u64> = next.states.iter().map(|entry| entry.key).collect();
-    let removed: Vec<u64> = prev
-        .states
-        .iter()
-        .map(|entry| entry.key)
-        .filter(|key| !next_keys.contains(key))
-        .collect();
-    let prev_reports: HashSet<u64> = prev.reports.iter().map(|entry| entry.key).collect();
-    let new_reports: Vec<KeyReport> = next
-        .reports
-        .iter()
-        .filter(|entry| !prev_reports.contains(&entry.key))
-        .cloned()
-        .collect();
-    let prev_errors: HashSet<u64> = prev.errors.iter().map(|entry| entry.key).collect();
-    let new_errors: Vec<KeyError> = next
-        .errors
-        .iter()
-        .filter(|entry| !prev_errors.contains(&entry.key))
-        .cloned()
-        .collect();
-    CheckpointDelta {
-        version,
-        ops_routed: next.ops_routed,
-        uncertified: next.uncertified,
-        partition: next.partition,
-        changed,
-        removed,
-        new_reports,
-        new_errors,
     }
 }
 
@@ -459,7 +554,7 @@ mod tests {
     use super::*;
     use crate::stream::{PipelineConfig, StreamPipeline};
     use crate::Fzf;
-    use kav_history::{Operation, Time, Value};
+    use kav_history::{Operation, Time};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("kav_checkpoint_tests");
@@ -475,6 +570,75 @@ mod tests {
         pipeline.push(1, Operation::write(Value(1), Time(0), Time(10)));
         pipeline.push(1, Operation::read(Value(1), Time(12), Time(20)));
         pipeline.snapshot()
+    }
+
+    /// The format-1 delta hop from `prev` to `next`, diffed per key the
+    /// way the format-1 writer did.
+    fn legacy_delta(prev: &PipelineSnapshot, next: &PipelineSnapshot, version: u64) -> LegacyDelta {
+        let state_of = |snapshot: &PipelineSnapshot, key: u64| {
+            snapshot.states.iter().find(|entry| entry.key == key).map(|entry| entry.state.clone())
+        };
+        LegacyDelta {
+            version,
+            ops_routed: next.ops_routed,
+            uncertified: next.uncertified,
+            partition: next.partition,
+            changed: next
+                .states
+                .iter()
+                .filter(|entry| state_of(prev, entry.key).as_ref() != Some(&entry.state))
+                .cloned()
+                .collect(),
+            removed: prev
+                .states
+                .iter()
+                .map(|entry| entry.key)
+                .filter(|&key| state_of(next, key).is_none())
+                .collect(),
+            new_reports: next
+                .reports
+                .iter()
+                .filter(|entry| prev.reports.iter().all(|old| old.key != entry.key))
+                .cloned()
+                .collect(),
+            new_errors: next
+                .errors
+                .iter()
+                .filter(|entry| prev.errors.iter().all(|old| old.key != entry.key))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// A format-1 document: `chain[0]` as the base, one delta hop per
+    /// later snapshot, versions counting on from `base_version`.
+    fn legacy_file(
+        base_version: u64,
+        source: SourcePosition,
+        chain: &[PipelineSnapshot],
+    ) -> LegacyCheckpoint {
+        let deltas: Vec<LegacyDelta> = chain
+            .windows(2)
+            .zip(base_version + 1..)
+            .map(|(pair, version)| legacy_delta(&pair[0], &pair[1], version))
+            .collect();
+        LegacyCheckpoint {
+            format: LEGACY_FORMAT,
+            version: base_version + deltas.len() as u64,
+            source,
+            pipeline: chain[0].clone(),
+            deltas,
+        }
+    }
+
+    /// What two writes of the same state left in a format-1 file: the
+    /// base and one (empty) delta.
+    fn two_write_chain() -> LegacyCheckpoint {
+        legacy_file(1, SourcePosition::default(), &[small_snapshot(), small_snapshot()])
+    }
+
+    fn write_legacy(path: &Path, checkpoint: &LegacyCheckpoint) {
+        fs::write(path, serde_json::to_string(checkpoint).unwrap() + "\n").unwrap();
     }
 
     #[test]
@@ -512,33 +676,38 @@ mod tests {
 
     #[test]
     fn delta_writes_resolve_to_the_latest_state() {
+        // Format-1 files as the delta writer left them: a full base every
+        // ninth version (eight deltas between re-bases).
         let path = temp_path("delta.ckpt");
         let config = PipelineConfig { shards: 2, window: 4, batch: 1, ..Default::default() };
         let mut pipeline = StreamPipeline::new(Fzf, config);
-        let mut writer = CheckpointWriter::new(&path);
-        let mut saw_delta_file = false;
+        let mut chain: Vec<PipelineSnapshot> = Vec::new();
+        let mut base_version = 1;
         for v in 1..=20u64 {
             pipeline.push(v % 3, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
             let snapshot = pipeline.snapshot();
-            let version = writer
-                .write(SourcePosition { lines: v, ..Default::default() }, snapshot.clone())
-                .unwrap();
-            assert_eq!(version, v);
-            saw_delta_file |= fs::read_to_string(&path).unwrap().contains("\"changed\"");
+            if chain.len() > 8 {
+                chain.clear();
+                base_version = v;
+            }
+            chain.push(snapshot.clone());
+            let source = SourcePosition { lines: v, ..Default::default() };
+            write_legacy(&path, &legacy_file(base_version, source, &chain));
             let read = read_checkpoint(&path).unwrap();
-            assert!(read.deltas.is_empty(), "read resolves deltas away");
+            assert_eq!(read.format, LEGACY_FORMAT);
             assert_eq!(read.version, v);
             assert_eq!(read.source.lines, v, "source tracks the latest write");
             assert_eq!(read.pipeline, snapshot, "write {v}");
         }
-        assert!(saw_delta_file, "the default cadence must actually write deltas");
         // A key that fails mid-chain crosses the delta as removed state
         // plus a new report and error.
         pipeline.push(0, Operation::write(Value(99), Time(1), Time(2)));
         let snapshot = pipeline.snapshot();
-        writer
-            .write(SourcePosition { lines: 21, ..Default::default() }, snapshot.clone())
-            .unwrap();
+        chain.push(snapshot.clone());
+        let file = legacy_file(base_version, SourcePosition::default(), &chain);
+        let last = file.deltas.last().unwrap();
+        assert_eq!((last.removed.len(), last.new_reports.len(), last.new_errors.len()), (1, 1, 1));
+        write_legacy(&path, &file);
         let read = read_checkpoint(&path).unwrap();
         assert_eq!(read.pipeline, snapshot);
         assert_eq!(read.pipeline.errors.len(), 1);
@@ -549,29 +718,37 @@ mod tests {
 
     #[test]
     fn delta_every_zero_always_writes_full_snapshots() {
+        // A format-1 file with no deltas is its base snapshot...
         let path = temp_path("nodelta.ckpt");
-        let mut writer = CheckpointWriter::new(&path).delta_every(0);
+        let snapshot = small_snapshot();
+        let file = legacy_file(3, SourcePosition::default(), std::slice::from_ref(&snapshot));
+        write_legacy(&path, &file);
+        assert!(fs::read_to_string(&path).unwrap().contains("\"deltas\":[]"));
+        assert_eq!(read_checkpoint(&path).unwrap().pipeline, snapshot);
+        // ...and every format-2 write is full: the file depends only on
+        // its version, source and snapshot, never on earlier writes.
+        let mut writer = CheckpointWriter::new(&path);
+        let fresh = temp_path("nodelta-fresh.ckpt");
         for v in 1..=3u64 {
-            writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-            let text = fs::read_to_string(&path).unwrap();
-            assert!(text.contains("\"deltas\":[]"), "write {v} must be full: {text}");
+            writer.write(SourcePosition::default(), snapshot.clone()).unwrap();
+            CheckpointWriter::starting_at(&fresh, v - 1)
+                .write(SourcePosition::default(), snapshot.clone())
+                .unwrap();
+            assert_eq!(fs::read(&path).unwrap(), fs::read(&fresh).unwrap(), "write {v}");
         }
         fs::remove_file(&path).ok();
+        fs::remove_file(&fresh).ok();
     }
 
     #[test]
     fn inconsistent_delta_chains_are_rejected() {
         let path = temp_path("badchain.ckpt");
-        let mut writer = CheckpointWriter::new(&path);
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        let parsed: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        let parsed = two_write_chain();
         assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
-        let reject = |mutate: &dyn Fn(&mut Checkpoint)| {
+        let reject = |mutate: &dyn Fn(&mut LegacyCheckpoint)| {
             let mut bad = parsed.clone();
             mutate(&mut bad);
-            fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+            write_legacy(&path, &bad);
             assert!(matches!(read_checkpoint(&path), Err(CheckpointError::Parse(_))));
         };
         // Non-ascending delta version.
@@ -581,7 +758,7 @@ mod tests {
         // Removal of a key that is not live.
         reject(&|c| c.deltas[0].removed.push(12345));
         // The untampered file still reads.
-        fs::write(&path, serde_json::to_string(&parsed).unwrap()).unwrap();
+        write_legacy(&path, &parsed);
         assert!(read_checkpoint(&path).is_ok());
         fs::remove_file(&path).ok();
     }
@@ -590,20 +767,15 @@ mod tests {
     fn mixed_partition_delta_chains_are_rejected() {
         // Regression: a delta produced under one shard map used to resolve
         // silently onto a base snapshot taken under another. The chain is
-        // now tagged and the mix is a parse error, and the writer re-bases
-        // on a partition change so it never produces such a file itself.
+        // tagged and the mix is a parse error.
         let path = temp_path("mixedpartition.ckpt");
-        let mut writer = CheckpointWriter::new(&path);
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        let parsed: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        let parsed = two_write_chain();
         assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
 
         // Hand-splice a foreign shard map into the delta: rejected.
         let mut bad = parsed.clone();
         bad.deltas[0].partition = Some(KeyRange::ALL.split().0);
-        fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+        write_legacy(&path, &bad);
         match read_checkpoint(&path) {
             Err(CheckpointError::Parse(msg)) => {
                 assert!(msg.contains("different partitions"), "diagnostic names the fault: {msg}")
@@ -611,14 +783,13 @@ mod tests {
             other => panic!("mixed-partition chain must be rejected, got {other:?}"),
         }
 
-        // A real partition change goes through the writer, which re-bases:
-        // the file holds a fresh full snapshot, no cross-partition delta.
+        // A real partition change goes through the writer, whose every
+        // write is a full snapshot under the new shard map.
+        let mut writer = CheckpointWriter::new(&path);
+        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
         let mut moved = small_snapshot();
         moved.partition = Some(KeyRange::ALL.split().1);
         writer.write(SourcePosition::default(), moved.clone()).unwrap();
-        let rebased: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert!(rebased.deltas.is_empty(), "partition change must re-base the file");
         assert_eq!(read_checkpoint(&path).unwrap().pipeline, moved);
         fs::remove_file(&path).ok();
     }
@@ -632,15 +803,144 @@ mod tests {
         let garbled = temp_path("garbled.ckpt");
         fs::write(&garbled, "{ not a checkpoint").unwrap();
         assert!(matches!(read_checkpoint(&garbled), Err(CheckpointError::Parse(_))));
+        fs::write(&garbled, "KAVF0002 binary frames, not a checkpoint").unwrap();
+        assert!(matches!(read_checkpoint(&garbled), Err(CheckpointError::Parse(_))));
+        // A future era is named as such, in either container.
         let future = temp_path("future.ckpt");
         let mut writer = CheckpointWriter::new(&future);
         writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        let bumped = fs::read_to_string(&future)
-            .unwrap()
-            .replacen("\"format\":1", "\"format\":999", 1);
-        fs::write(&future, bumped).unwrap();
+        let bytes = fs::read(&future).unwrap();
+        let (envelope, columns) = split(&bytes);
+        let bumped = String::from_utf8(envelope.to_vec()).unwrap().replacen(
+            "\"format\":2",
+            "\"format\":999",
+            1,
+        );
+        fs::write(&future, assemble(&bumped, columns)).unwrap();
         assert!(matches!(read_checkpoint(&future), Err(CheckpointError::Format(999))));
+        let mut legacy = legacy_file(1, SourcePosition::default(), &[small_snapshot()]);
+        legacy.format = 999;
+        write_legacy(&future, &legacy);
+        let err = read_checkpoint(&future).unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(999)));
+        let message = err.to_string();
+        assert!(message.contains("formats 2 and 1"), "names both readable formats: {message}");
         fs::remove_file(&garbled).ok();
         fs::remove_file(&future).ok();
+    }
+
+    // --- Hostile format-2 files -------------------------------------------
+
+    /// Splits a format-2 file into its envelope text and column section.
+    fn split(bytes: &[u8]) -> (&[u8], &[u8]) {
+        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        bytes[16..].split_at(len)
+    }
+
+    fn assemble(envelope: &str, columns: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(envelope.len() as u64).to_le_bytes());
+        out.extend_from_slice(envelope.as_bytes());
+        out.extend_from_slice(columns);
+        out
+    }
+
+    /// A written checkpoint (version 1, two keys, a non-empty retirement
+    /// ring on key 1) as bytes.
+    fn written() -> Vec<u8> {
+        let mut pipeline = StreamPipeline::new(
+            Fzf,
+            PipelineConfig { shards: 1, window: 2, horizon: Some(3), ..Default::default() },
+        );
+        for v in 1..=8u64 {
+            pipeline.push(1, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
+        }
+        pipeline.push(2, Operation::write(Value(1), Time(0), Time(5)));
+        let snapshot = pipeline.snapshot();
+        assert!(!snapshot.states[0].state.builder.retired_recent.is_empty());
+        let path = temp_path(&format!("hostile-{:?}.ckpt", std::thread::current().id()));
+        CheckpointWriter::new(&path).write(SourcePosition::default(), snapshot).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).ok();
+        assert!(parse_checkpoint(&bytes).is_ok());
+        bytes
+    }
+
+    /// Rewrites the column section with `edit` and re-seals the envelope's
+    /// length and checksum, so only the structural checks stand between
+    /// the forged columns and the decoder.
+    fn forge(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (envelope, columns) = split(bytes);
+        let mut envelope: Envelope =
+            serde_json::from_str(std::str::from_utf8(envelope).unwrap()).unwrap();
+        let mut columns = columns.to_vec();
+        edit(&mut columns);
+        envelope.columns = ColumnsDigest::of(&columns);
+        assemble(&serde_json::to_string(&envelope).unwrap(), &columns)
+    }
+
+    fn assert_parse_error(bytes: &[u8], needle: &str) {
+        match parse_checkpoint(bytes) {
+            Err(CheckpointError::Parse(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a parse error naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_files_are_parse_errors() {
+        let bytes = written();
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(parse_checkpoint(&bytes[..len]), Err(CheckpointError::Parse(_))),
+                "truncated to {len} of {} bytes",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn flipped_column_bytes_fail_the_checksum() {
+        let bytes = written();
+        let columns_at = bytes.len() - split(&bytes).1.len();
+        for at in columns_at..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x40;
+            assert_parse_error(&bad, "checksum");
+        }
+    }
+
+    #[test]
+    fn huge_op_counts_are_rejected_before_allocating() {
+        let bad = forge(&written(), |columns| {
+            columns[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        });
+        assert_parse_error(&bad, "18446744073709551615 operations claimed");
+    }
+
+    #[test]
+    fn rings_longer_than_the_horizon_are_rejected() {
+        // Key 1's ring sits right after its buffer: grow it past the
+        // horizon (3), with the extra values really present.
+        let bytes = written();
+        let ops = u64::from_le_bytes(split(&bytes).1[..8].try_into().unwrap()) as usize;
+        let ring_at = 8 + ops * FRAME_LEN_V2;
+        let bad = forge(&bytes, |columns| {
+            let ring = u64::from_le_bytes(columns[ring_at..ring_at + 8].try_into().unwrap());
+            columns[ring_at..ring_at + 8].copy_from_slice(&4u64.to_le_bytes());
+            let values_end = ring_at + 8 + ring as usize * RING_ENTRY_LEN;
+            let extra: Vec<u8> = (100..104 - ring).flat_map(u64::to_le_bytes).collect();
+            columns.splice(values_end..values_end, extra);
+        });
+        assert_parse_error(&bad, "exceed the horizon 3");
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let bytes = written();
+        assert_parse_error(&forge(&bytes, |columns| columns.push(0)), "1 bytes after");
+        // Unsealed trailing bytes disagree with the recorded length.
+        let mut bad = bytes;
+        bad.extend_from_slice(&[0; 8]);
+        assert_parse_error(&bad, "the envelope records");
     }
 }

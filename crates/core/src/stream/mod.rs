@@ -96,8 +96,8 @@ pub mod protocol;
 pub use depth::{DepthStats, DepthWindow, DEFAULT_DEPTH_WINDOW};
 
 pub use checkpoint::{
-    read_checkpoint, Checkpoint, CheckpointDelta, CheckpointError, CheckpointWriter,
-    SourcePosition, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DELTA_EVERY,
+    read_checkpoint, Checkpoint, CheckpointError, CheckpointWriter, SourcePosition,
+    CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use coordinator::{FleetConfig, FleetCoordinator, WorkerLink, DEFAULT_REPLAY_CAP};
 pub use merge::{

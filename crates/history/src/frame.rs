@@ -110,8 +110,9 @@ fn decode_frame(frame: &[u8]) -> Result<(u64, Operation), u8> {
     ))
 }
 
-/// Decodes one 45-byte v2 frame; `Err` carries the offending kind byte.
-fn decode_frame_v2(frame: &[u8]) -> Result<(u64, Operation), u8> {
+/// Decodes one 45-byte v2 frame written by [`encode_frame_v2`]; `Err`
+/// carries the offending kind byte. `frame` must be [`FRAME_LEN_V2`] bytes.
+pub fn decode_frame_v2(frame: &[u8]) -> Result<(u64, Operation), u8> {
     let (key, mut op) = decode_frame(&frame[..FRAME_LEN])?;
     op.client = u64::from_le_bytes(frame[37..45].try_into().expect("8-byte slice"));
     Ok((key, op))

@@ -383,13 +383,15 @@ fn fault_schedule_audits_resume_across_partition_heal_boundaries() {
     }
 }
 
-/// The on-disk delta chain is equivalent to full snapshots: an audit
-/// that checkpoints through [`CheckpointWriter`] with a short delta
-/// cadence, is killed at checkpoints landing before, on and between
-/// full-snapshot boundaries, and resumes from the resolved file —
-/// through a second kill-and-resume hop, each hop re-reading the NDJSON
-/// prefix with a *different* decoder than wrote the checkpoint — must
-/// finish with reports byte-identical to the uninterrupted audit.
+/// The on-disk checkpoint file is equivalent to the in-memory snapshot:
+/// an audit that checkpoints through [`CheckpointWriter`] every four
+/// records, is killed at several checkpoint boundaries and resumes from
+/// the file — through a second kill-and-resume hop, each hop re-reading
+/// the NDJSON prefix with a *different* decoder than wrote the
+/// checkpoint — must finish with reports byte-identical to the
+/// uninterrupted audit. (The name predates format 2, whose writer
+/// writes no deltas; format-1 delta files are covered by
+/// `format1_delta_checkpoints_still_resume`.)
 #[test]
 fn delta_checkpoint_files_resume_across_kill_boundaries() {
     use k_atomicity::history::fxhash::Fingerprint;
@@ -415,9 +417,8 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
     let path = dir.join("audit.ckpt");
     let path = path.to_str().unwrap();
 
-    // Checkpoint every 4 records with a full snapshot only every 3rd
-    // write, so kills at records 12/24/36 land on delta-resolved state
-    // (writes 3, 6, 9 — the chain is base + deltas at two of the three).
+    // Checkpoint every 4 records; kills at records 12/24/36 land on
+    // writes 3, 6 and 9.
     let drive = |from: usize, until: usize, version: u64| {
         let mut reference = ndjson::Reader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
         let mut zero_copy =
@@ -426,7 +427,6 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
             StreamPipeline::new(Fzf, config)
         } else {
             let checkpoint = read_checkpoint(path).expect("checkpoint reads back");
-            assert!(checkpoint.deltas.is_empty(), "read_checkpoint resolves deltas");
             assert_eq!(checkpoint.source.lines, from as u64);
             // Alternate which decoder re-proves the prefix — the hop is
             // only sound because both produce the same fingerprint chain.
@@ -445,7 +445,7 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
             StreamPipeline::resume(Fzf, config, &checkpoint.pipeline, true)
                 .expect("own checkpoints resume")
         };
-        let mut writer = CheckpointWriter::starting_at(path, version).delta_every(3);
+        let mut writer = CheckpointWriter::starting_at(path, version);
         let mut fp = Fingerprint::new();
         for (i, record) in records.iter().enumerate().take(until) {
             let line = ndjson::to_line(record) + "\n";
@@ -471,13 +471,51 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
         let (pipeline, v1) = drive(0, first_kill, 0);
         drop(pipeline); // the first crash; only the checkpoint file survives
         let (pipeline, v2) = drive(first_kill, second_kill, v1);
-        drop(pipeline); // the second crash, mid delta chain
+        drop(pipeline); // the second crash
         let (pipeline, _) = drive(second_kill, records.len(), v2);
         let output = pipeline.finish();
         assert_eq!(&output.keys, &baseline.keys, "kills at {first_kill}/{second_kill}");
         assert_eq!(&output.errors, &baseline.errors, "kills at {first_kill}/{second_kill}");
     }
     std::fs::remove_file(path).ok();
+}
+
+/// Format-1 checkpoints written by earlier builds — delta hops included —
+/// still resume, and finish exactly like the uninterrupted audit. The
+/// fixture is the file the format-1 writer left after
+/// `kav stream --window 8 --checkpoint F --checkpoint-every 15` over the
+/// first 90 records of `format1-deltas.ndjson` (itself
+/// `kav gen --workload stream --keys 3 --n 40 --seed 5`): a full base
+/// plus five deltas, version 6.
+#[test]
+fn format1_delta_checkpoints_still_resume() {
+    use k_atomicity::history::fxhash::Fingerprint;
+    use k_atomicity::history::ndjson;
+    use k_atomicity::verify::read_checkpoint;
+
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let file = fixtures.join("format1-deltas.ckpt");
+    let text = std::fs::read_to_string(&file).unwrap();
+    assert!(text.starts_with("{\"format\":1,"), "the fixture is a format-1 file");
+    assert!(text.contains("\"deltas\":[{"), "the fixture carries delta hops");
+    let checkpoint = read_checkpoint(&file).expect("format-1 files still read");
+    assert_eq!((checkpoint.format, checkpoint.version, checkpoint.source.lines), (1, 6, 90));
+
+    let input = std::fs::read(fixtures.join("format1-deltas.ndjson")).unwrap();
+    let records: Vec<StreamRecord> =
+        ndjson::SliceReader::new(&input).map(|record| record.unwrap()).collect();
+    let config = PipelineConfig { window: 8, ..Default::default() };
+    let baseline = uninterrupted(&records, config);
+
+    let mut prefix = ndjson::SliceReader::with_fingerprint(&input, Fingerprint::new());
+    prefix.skip_raw_lines(checkpoint.source.lines).unwrap();
+    assert_eq!(prefix.fingerprint(), Some(checkpoint.source.fingerprint));
+    let mut pipeline = StreamPipeline::resume(Fzf, config, &checkpoint.pipeline, true)
+        .expect("resolved format-1 state passes resume validation");
+    push_all(&mut pipeline, &records[checkpoint.source.lines as usize..]);
+    let output = pipeline.finish();
+    assert_eq!(output.keys, baseline.keys);
+    assert_eq!(output.errors, baseline.errors);
 }
 
 /// Deterministic spot check that a snapshot is stable: snapshotting twice
