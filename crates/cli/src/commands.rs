@@ -4,12 +4,14 @@ use crate::args::{ArgError, Args};
 use kav_core::{
     check_witness, diagnose, fleet_verdict, read_checkpoint, smallest_k, worker_loop,
     CausalVerifier, Checkpoint, CheckpointWriter, ConstrainedSearch, DepthStats, DepthWindow,
-    ExhaustiveSearch, FleetConfig, FleetCoordinator, Fzf, GenK, GkOneAv, Lbt, ModelId,
-    PipelineConfig, PipelineOutput, RegularVerifier, SafeVerifier, ShardProgress,
-    SourcePosition, Staleness, StreamPipeline, UnknownModel, Verdict, Verifier, WorkerLink,
-    DEFAULT_CAUSAL_BUDGET, DEFAULT_CHECKPOINT_EVERY, DEFAULT_GAP_BUDGET, DEFAULT_REPLAY_CAP,
+    ExhaustiveSearch, FleetConfig, FleetCoordinator, FleetSummary, Fzf, GenK, GkOneAv, Lbt,
+    ModelId, PipelineConfig, PipelineOutput, PipelineSnapshot, RegularVerifier, SafeVerifier,
+    ShardProgress, SourcePosition, Staleness, StreamPipeline, UnknownModel, Verdict, Verifier,
+    WorkerLink, DEFAULT_CAUSAL_BUDGET, DEFAULT_CHECKPOINT_EVERY, DEFAULT_GAP_BUDGET,
+    DEFAULT_REPLAY_CAP,
 };
 use kav_history::fxhash::Fingerprint;
+use kav_history::ndjson::{NdjsonError, StreamRecord};
 use kav_history::{
     csv, frame, json, ndjson, render_timeline, repair, History, HistoryStats, RawHistory,
 };
@@ -18,6 +20,9 @@ use kav_sim::{scenario_matrix, LatencyModel, Manifest, Scenario, SimConfig, Simu
 use kav_weighted::{reduce_bin_packing, BinPacking};
 use kav_workloads as workloads;
 use std::error::Error;
+use std::io::Read;
+use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -82,11 +87,11 @@ pub fn usage() -> &'static str {
      \x20        [--gap-budget <nodes|unbounded>] [--format ndjson|binary]\n\
      \x20        [--checkpoint <file>] [--checkpoint-every <ops>]\n\
      \x20        [--resume <file>] [--progress-every <records>]\n\
-     \x20        <ops.ndjson | ->      (- reads NDJSON from stdin; files are memory-mapped\n\
-     \x20                               into the zero-copy decoder for the chosen --format)\n\
+     \x20        <ops.ndjson | ->      (- reads stdin; files and stdin alike are read in\n\
+     \x20                               chunks through the decoder for the chosen --format)\n\
      \x20        exit codes: 0 = verified, 1 = violation, 2 = unusable input\n\
      \x20        (see docs/OPERATIONS.md for the checkpoint/resume lifecycle)\n\
-     \x20 kav serve --workers <N> [same verification flags as stream]\n\
+     \x20 kav serve --workers <N> [stream's flags, except --progress-every]\n\
      \x20        [--replay-cap <frames>] [--split-hottest <records>]\n\
      \x20        [--kill-worker <idx:records>]   (fault-injection test hook)\n\
      \x20        <ops.ndjson | ->\n\
@@ -268,16 +273,6 @@ fn reject_model_flags(args: &Args, model: ModelId) -> CmdResult {
     Ok(())
 }
 
-/// The causal verifier, budgeted via `--gap-budget` reinterpreted as the
-/// transitive-closure work budget (the causal analogue of search nodes,
-/// default [`DEFAULT_CAUSAL_BUDGET`]); `"unbounded"` lifts it.
-fn causal_from_flags(args: &Args) -> Result<CausalVerifier, Box<dyn Error>> {
-    Ok(match gap_budget_flag(args, DEFAULT_CAUSAL_BUDGET)? {
-        Some(budget) => CausalVerifier::with_budget(budget),
-        None => CausalVerifier::with_budget(u64::MAX),
-    })
-}
-
 /// Streams records to stdout through one buffered, allocation-free
 /// writer — NDJSON by default, binary frames on request.
 fn emit_records_to_stdout(records: &[ndjson::StreamRecord], binary: bool) -> CmdResult {
@@ -312,15 +307,9 @@ fn emit_records_to_stdout(records: &[ndjson::StreamRecord], binary: bool) -> Cmd
 pub fn verify(args: &Args) -> CmdResult {
     let model = model_flag(args)?;
     if !model.is_k_atomic() {
-        reject_model_flags(args, model)?;
+        let verifier = Semantics::from_flags(args)?.verifier()?;
         let history = load(args, 1)?;
-        let verdict = match model {
-            ModelId::Regular => RegularVerifier.verify(&history),
-            ModelId::Safe => SafeVerifier.verify(&history),
-            ModelId::Causal => causal_from_flags(args)?.verify(&history),
-            ModelId::KAtomic => unreachable!("handled above"),
-        };
-        match verdict {
+        match verifier.verify(&history) {
             Verdict::Consistent => println!("YES: history satisfies the {model} model"),
             Verdict::NotKAtomic => println!("NO: history violates the {model} model"),
             Verdict::Inconclusive => {
@@ -677,7 +666,8 @@ pub fn simulate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `kav stream` — online sliding-window verification of an NDJSON stream.
+/// `kav stream` — online sliding-window verification of a record stream
+/// (NDJSON or binary frames) in this process.
 ///
 /// Exit codes: `0` when every key verifies (or no violation was found but
 /// certification was lost to breaches/orphans — `UNKNOWN`),
@@ -687,16 +677,30 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// unreadable files, bad flags) — so `1` *always* means "store is
 /// inconsistent" and never "tap is broken".
 pub fn stream(args: &Args) -> CmdResult {
-    stream_inner(args).map_err(|e| -> Box<dyn Error> {
-        if e.is::<ExitWith>() {
-            e
-        } else {
-            // Any other failure (I/O, arg parsing) verified nothing: give
-            // it the bad-input code rather than the generic 1, which
-            // auditing scripts read as a proven violation.
-            ExitWith::new(EXIT_BAD_INPUT, e.to_string())
-        }
-    })
+    audit(args, false)
+}
+
+/// `kav serve` — multi-process fleet verification: the coordinator
+/// partitions the key space over `--workers` spawned `kav work`
+/// processes, fans ingest out by key hash, merges their checkpoints at
+/// cadence and their final reports at the end. Exit codes, checkpoint
+/// files and the report table are interchangeable with `kav stream`;
+/// worker death is absorbed by checkpoint hand-off (see
+/// docs/OPERATIONS.md, "Running a fleet").
+pub fn serve(args: &Args) -> CmdResult {
+    audit(args, true)
+}
+
+/// `kav work` — one fleet worker: speaks the coordinator↔worker protocol
+/// on stdin/stdout until FINISH (exit 0) or a protocol fault (exit
+/// [`EXIT_BAD_INPUT`] with the diagnostic on stderr — a fault is unusable
+/// input, never a verdict). Spawned by `kav serve`; runnable by hand only
+/// for debugging the wire format.
+pub fn work(args: &Args) -> CmdResult {
+    let verifier = Semantics::from_flags(args)?.verifier()?;
+    worker_loop(verifier, std::io::stdin().lock(), std::io::stdout().lock()).map_err(
+        |e| -> Box<dyn Error> { ExitWith::new(EXIT_BAD_INPUT, format!("worker: {e}")) },
+    )
 }
 
 /// Rejects a flag that contradicts what a resumed checkpoint recorded:
@@ -736,24 +740,499 @@ fn reject_resume_model_conflict(args: &Args, recorded: ModelId) -> CmdResult {
     }
 }
 
-/// Everything one `kav stream` run needs beyond the verifier itself.
-struct StreamSession<'a> {
-    config: PipelineConfig,
-    strict: bool,
-    /// Emit an NDJSON progress record to stderr every this many records
-    /// (0 = never).
-    progress_every: u64,
-    /// Where to write checkpoints, if anywhere.
-    checkpoint_path: Option<&'a str>,
-    /// The checkpoint this run resumes, if any.
-    resume: Option<Checkpoint>,
-    /// Input path, or `-` for stdin.
-    input: &'a str,
-    /// `--format binary`: the input is fixed-width frames, not NDJSON.
-    binary: bool,
+/// Rejects the flags the chosen engine never reads, rather than ignoring
+/// them: `kav serve` emits no progress records, and `kav stream` runs no
+/// fleet.
+fn reject_unread_flags(args: &Args, fleet: bool) -> CmdResult {
+    let (command, unread, why): (&str, &[&str], &str) = if fleet {
+        ("serve", &["progress-every"], "it emits no progress records; use `kav stream`")
+    } else {
+        (
+            "stream",
+            &["workers", "replay-cap", "split-hottest", "kill-worker"],
+            "it is a fleet flag; use `kav serve`",
+        )
+    };
+    match unread.iter().find(|flag| args.get(flag).is_some()) {
+        Some(flag) => Err(ExitWith::new(
+            EXIT_BAD_INPUT,
+            format!("--{flag} is not read by `kav {command}`: {why}"),
+        )),
+        None => Ok(()),
+    }
 }
 
-fn stream_inner(args: &Args) -> CmdResult {
+/// What an audit decides — the consistency model, the algorithm and `k`
+/// — plus the escalation budget: everything that picks the verifier.
+struct Semantics {
+    model: ModelId,
+    /// The `--algo` spelling, or the verifier name a checkpoint recorded;
+    /// for non-k-atomic models, the model's own name.
+    algo: String,
+    k: u64,
+    /// Search nodes per bound-gap window for genk, the closure budget for
+    /// the causal model; `None` is unbounded.
+    gap_budget: Option<u64>,
+}
+
+impl Semantics {
+    /// The semantics a fresh audit's flags ask for (`kav stream`,
+    /// `kav serve` and `kav work` alike).
+    fn from_flags(args: &Args) -> Result<Self, Box<dyn Error>> {
+        let model = model_flag(args)?;
+        reject_model_flags(args, model)?;
+        let (k, algo) = if model.is_k_atomic() {
+            let k: u64 = args.get_parsed("k", 2)?;
+            let algo = args.get("algo").unwrap_or(match k {
+                1 => "gk",
+                2 => "fzf",
+                _ => "genk",
+            });
+            (k, algo.to_string())
+        } else {
+            // Model verifiers have no staleness parameter (they report
+            // k = 1) and the algo slot carries the model's own name.
+            (1, model.as_str().to_string())
+        };
+        Ok(Semantics { model, algo, k, gap_budget: Self::gap_budget(args, model)? })
+    }
+
+    /// The semantics a checkpoint recorded; contradicting flags are
+    /// rejected. The budget stays free: it trades UNKNOWNs for latency
+    /// but never changes what a counted verdict means.
+    fn recorded(args: &Args, p: &PipelineSnapshot) -> Result<Self, Box<dyn Error>> {
+        reject_resume_model_conflict(args, p.model)?;
+        reject_resume_conflict(args, "k", &p.k.to_string())?;
+        reject_resume_conflict(args, "algo", &p.algo)?;
+        Ok(Semantics {
+            model: p.model,
+            algo: p.algo.clone(),
+            k: p.k,
+            gap_budget: Self::gap_budget(args, p.model)?,
+        })
+    }
+
+    /// The causal closure budget and the k-atomic gap budget share the
+    /// flag, but not the default: each model's own ceiling applies.
+    fn gap_budget(args: &Args, model: ModelId) -> Result<Option<u64>, Box<dyn Error>> {
+        let default =
+            if model == ModelId::Causal { DEFAULT_CAUSAL_BUDGET } else { DEFAULT_GAP_BUDGET };
+        gap_budget_flag(args, default)
+    }
+
+    /// The verifier these semantics name — the one (model, algo, k,
+    /// budget) table behind `kav stream`, `kav serve` and `kav work`.
+    fn verifier(&self) -> Result<AnyVerifier, Box<dyn Error>> {
+        let verifier: Arc<dyn Verifier + Send + Sync> = match self.model {
+            ModelId::KAtomic => match (canonical_algo(&self.algo), self.k) {
+                ("gk", 1) => Arc::new(GkOneAv),
+                ("fzf", 2) => Arc::new(Fzf),
+                ("lbt", 2) => Arc::new(Lbt::new()),
+                ("genk", k) if k >= 1 => Arc::new(GenK::with_gap_budget(k, self.gap_budget)),
+                (a, k) => return Err(bad_algo_k(a, k, "")),
+            },
+            ModelId::Regular => Arc::new(RegularVerifier),
+            ModelId::Safe => Arc::new(SafeVerifier),
+            ModelId::Causal => {
+                Arc::new(CausalVerifier::with_budget(self.gap_budget.unwrap_or(u64::MAX)))
+            }
+        };
+        Ok(AnyVerifier(verifier))
+    }
+
+    /// The `kav work` flags under which a worker resolves the same
+    /// verifier.
+    fn worker_args(&self) -> Vec<String> {
+        let mut args: Vec<String> = if self.model.is_k_atomic() {
+            // `kav work` rejects --algo/--k alongside a non-default
+            // --model, so each spawn passes exactly one vocabulary.
+            let algo = canonical_algo(&self.algo).to_string();
+            vec!["--algo".into(), algo, "--k".into(), self.k.to_string()]
+        } else {
+            vec!["--model".into(), self.model.as_str().to_string()]
+        };
+        args.push("--gap-budget".into());
+        args.push(self.gap_budget.map_or_else(|| "unbounded".to_string(), |n| n.to_string()));
+        args
+    }
+}
+
+/// Whichever verifier [`Semantics::verifier`] picked, as one type: the
+/// pipeline and the worker loop are instantiated once, not per verifier.
+/// A segment costs one indirect call more.
+#[derive(Clone)]
+struct AnyVerifier(Arc<dyn Verifier + Send + Sync>);
+
+impl Verifier for AnyVerifier {
+    fn k(&self) -> u64 {
+        self.0.k()
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn model(&self) -> ModelId {
+        self.0.model()
+    }
+
+    fn verify(&self, history: &History) -> Verdict {
+        self.0.verify(history)
+    }
+}
+
+/// How an audit runs, resolved from the flags before any input is read.
+enum Plan {
+    /// `kav stream`: one pipeline in this process.
+    Local(PipelineConfig, AnyVerifier),
+    /// `kav serve`: a coordinator over `workers` spawned `kav work`
+    /// processes, each started with `worker_args`.
+    Fleet {
+        config: FleetConfig,
+        workers: usize,
+        worker_args: Vec<String>,
+        /// `--kill-worker idx:records`: the fault-injection hook.
+        kill: Option<(usize, u64)>,
+        /// `--split-hottest records` (0 = never).
+        split_at: u64,
+    },
+}
+
+impl Plan {
+    fn from_flags(
+        args: &Args,
+        fleet: bool,
+        semantics: &Semantics,
+        window: usize,
+        horizon: Option<usize>,
+    ) -> Result<Self, Box<dyn Error>> {
+        let verifier = semantics.verifier()?;
+        let checkpoint_every = args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?;
+        if !fleet {
+            let config = PipelineConfig {
+                window,
+                shards: args.get_parsed("shards", 4)?,
+                horizon,
+                batch: args.get_parsed("batch", PipelineConfig::default().batch)?,
+                checkpoint_every,
+            };
+            return Ok(Plan::Local(config, verifier));
+        }
+        let workers: usize = args.get_parsed("workers", 2)?;
+        if workers == 0 {
+            return Err(ExitWith::new(
+                EXIT_BAD_INPUT,
+                "--workers 0: a fleet needs at least one worker",
+            ));
+        }
+        let kill = match args.get("kill-worker") {
+            None => None,
+            Some(v) => {
+                let parsed = v.split_once(':').and_then(|(idx, at)| {
+                    Some((idx.parse().ok()?, at.parse().ok()?))
+                });
+                let (idx, at) = parsed.ok_or_else(|| {
+                    ArgError(format!("--kill-worker: expected idx:records, got {v:?}"))
+                })?;
+                if idx >= workers {
+                    return Err(ExitWith::new(
+                        EXIT_BAD_INPUT,
+                        format!("--kill-worker {idx}: the fleet has workers 0..{workers}"),
+                    ));
+                }
+                Some((idx, at))
+            }
+        };
+        let config = FleetConfig {
+            // On the wire the algo slot carries the verifier's own name:
+            // workers refuse assignments naming anything else.
+            algo: verifier.name().to_string(),
+            model: verifier.model(),
+            k: verifier.k(),
+            window,
+            horizon,
+            // One pipeline thread per worker by default: the fleet's
+            // parallelism is the processes themselves.
+            worker_shards: args.get_parsed("shards", 1)?,
+            batch: args.get_parsed("batch", FleetConfig::default().batch)?,
+            checkpoint_every,
+            replay_cap: args.get_parsed("replay-cap", DEFAULT_REPLAY_CAP)?,
+        };
+        Ok(Plan::Fleet {
+            config,
+            workers,
+            worker_args: semantics.worker_args(),
+            kill,
+            split_at: args.get_parsed("split-hottest", 0)?,
+        })
+    }
+
+    /// The parallelism the report header names.
+    fn scale(&self) -> String {
+        match self {
+            Plan::Local(config, _) => format!("{} shards", config.shards.max(1)),
+            Plan::Fleet { workers, .. } => format!("{workers} workers"),
+        }
+    }
+}
+
+/// The engine an audit drives, behind the verbs both share.
+enum Engine {
+    Local(StreamPipeline),
+    Fleet {
+        coordinator: FleetCoordinator,
+        children: Vec<Child>,
+        kill: Option<(usize, u64)>,
+        split_at: u64,
+    },
+}
+
+impl Engine {
+    /// Starts the planned engine, fresh or from a checkpoint's snapshot
+    /// (with whether its input prefix was proven).
+    fn start(
+        plan: Plan,
+        resume: Option<(&PipelineSnapshot, bool)>,
+    ) -> Result<Self, Box<dyn Error>> {
+        Ok(match plan {
+            Plan::Local(config, verifier) => Engine::Local(match resume {
+                Some((snapshot, verified)) => {
+                    StreamPipeline::resume(verifier, config, snapshot, verified)?
+                }
+                None => StreamPipeline::new(verifier, config),
+            }),
+            Plan::Fleet { config, workers, worker_args, kill, split_at } => {
+                let (children, links) = spawn_workers(workers, &worker_args)?;
+                let coordinator = match resume {
+                    Some((snapshot, verified)) => {
+                        FleetCoordinator::resume(config, links, snapshot, verified)?
+                    }
+                    None => FleetCoordinator::new(config, links)?,
+                };
+                Engine::Fleet { coordinator, children, kill, split_at }
+            }
+        })
+    }
+
+    fn push(&mut self, record: &StreamRecord) -> CmdResult {
+        match self {
+            Engine::Local(pipeline) => pipeline.push(record.key, record.op()),
+            Engine::Fleet { coordinator, .. } => coordinator.push(record.key, record.op())?,
+        }
+        Ok(())
+    }
+
+    /// Runs the fleet's test hooks once `records` input records (valid or
+    /// not) are consumed.
+    fn after_record(&mut self, records: u64) -> CmdResult {
+        if let Engine::Fleet { coordinator, children, kill, split_at } = self {
+            if let Some((idx, at)) = *kill {
+                if records == at {
+                    // SIGKILL the worker mid-stream; the coordinator must
+                    // absorb it by checkpoint hand-off.
+                    children[idx].kill()?;
+                    children[idx].wait()?;
+                }
+            }
+            if *split_at > 0 && records == *split_at {
+                coordinator.split_hottest()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn checkpoint_due(&self) -> bool {
+        match self {
+            Engine::Local(pipeline) => pipeline.checkpoint_due(),
+            Engine::Fleet { coordinator, .. } => coordinator.checkpoint_due(),
+        }
+    }
+
+    fn snapshot(&mut self) -> Result<PipelineSnapshot, Box<dyn Error>> {
+        Ok(match self {
+            Engine::Local(pipeline) => pipeline.snapshot(),
+            Engine::Fleet { coordinator, .. } => coordinator.snapshot_fleet()?,
+        })
+    }
+
+    /// The final output, plus the fleet's summary when there is a fleet.
+    fn finish(self) -> Result<(PipelineOutput, Option<FleetSummary>), Box<dyn Error>> {
+        match self {
+            Engine::Local(pipeline) => Ok((pipeline.finish(), None)),
+            Engine::Fleet { coordinator, mut children, .. } => {
+                let (output, summary) = coordinator.finish()?;
+                for child in &mut children {
+                    let _ = child.wait();
+                }
+                Ok((output, Some(summary)))
+            }
+        }
+    }
+}
+
+/// Spawns `n` `kav work` processes with `worker_args`. They speak the
+/// protocol on their stdin/stdout; stderr passes through for
+/// diagnostics.
+fn spawn_workers(
+    n: usize,
+    worker_args: &[String],
+) -> Result<(Vec<Child>, Vec<WorkerLink>), Box<dyn Error>> {
+    let exe = std::env::current_exe()?;
+    let mut children = Vec::with_capacity(n);
+    let mut links = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut child = Command::new(&exe)
+            .arg("work")
+            .args(worker_args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()?;
+        let child_stdin = child.stdin.take().expect("stdin is piped");
+        let child_stdout = child.stdout.take().expect("stdout is piped");
+        links.push(WorkerLink {
+            writer: Box::new(std::io::BufWriter::new(child_stdin)),
+            reader: Box::new(std::io::BufReader::new(child_stdout)),
+        });
+        children.push(child);
+    }
+    Ok((children, links))
+}
+
+/// The record sources the driver reads, NDJSON lines or binary frames,
+/// behind one cursor. Position units are raw lines for NDJSON and frames
+/// for binary; checkpoints store whichever the session used, so a resume
+/// must keep the format (the fingerprint check enforces this).
+trait Ingest: Iterator<Item = Result<StreamRecord, NdjsonError>> {
+    /// Raw input units consumed so far.
+    fn units_read(&self) -> u64;
+    fn fingerprint(&self) -> Option<u64>;
+    /// Skips up to `n` raw units without decoding them, returning how
+    /// many were consumed (resume prefix verification).
+    fn skip_units(&mut self, n: u64) -> std::io::Result<u64>;
+}
+
+impl<R: Read> Ingest for ndjson::LineStream<R> {
+    fn units_read(&self) -> u64 {
+        self.lines_read()
+    }
+
+    fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint()
+    }
+
+    fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
+        self.skip_raw_lines(n)
+    }
+}
+
+impl<R: Read> Ingest for frame::FrameStream<R> {
+    fn units_read(&self) -> u64 {
+        self.frames_read()
+    }
+
+    fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint()
+    }
+
+    fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
+        self.skip_raw_frames(n)
+    }
+}
+
+/// Opens the audit's input — a file, or `-` for stdin — through the
+/// chunked reader for its format. Fingerprints whenever checkpoints are
+/// written (so they can later be verified) or verified (a resume).
+fn open_input(
+    input: &str,
+    binary: bool,
+    fingerprinted: bool,
+) -> Result<Box<dyn Ingest>, Box<dyn Error>> {
+    let raw: Box<dyn Read> = if input == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        Box::new(std::fs::File::open(input)?)
+    };
+    let fingerprint = fingerprinted.then(Fingerprint::new);
+    Ok(if binary {
+        let reader = match fingerprint {
+            Some(fp) => frame::FrameStream::with_fingerprint(raw, fp),
+            None => frame::FrameStream::new(raw),
+        }
+        .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, format!("{input}: {e}")))?;
+        Box::new(reader)
+    } else {
+        Box::new(match fingerprint {
+            Some(fp) => ndjson::LineStream::with_fingerprint(raw, fp),
+            None => ndjson::LineStream::new(raw),
+        })
+    })
+}
+
+/// Re-reads the input prefix a checkpoint summarised and proves it is
+/// byte-identical before its verdicts are trusted. Returns whether the
+/// prefix was verified: stdin cannot be re-read, so there the operator
+/// feeds the remaining records, the audit continues, and YES degrades to
+/// UNKNOWN (NO stays sound). Lines and fingerprint then restart with this
+/// run's input, consistent with any checkpoint written from it.
+fn verify_prefix(
+    source: &mut dyn Ingest,
+    checkpoint: &Checkpoint,
+    from_stdin: bool,
+) -> Result<bool, Box<dyn Error>> {
+    if from_stdin {
+        eprintln!(
+            "warning: resuming from stdin skips prefix verification — \
+             a YES verdict will degrade to UNKNOWN"
+        );
+        return Ok(false);
+    }
+    let lines = checkpoint.source.lines;
+    let skipped = source.skip_units(lines)?;
+    if skipped < lines {
+        return Err(ExitWith::new(
+            EXIT_BAD_INPUT,
+            format!(
+                "--resume: input ends after {skipped} records but the checkpoint covers \
+                 {lines}; wrong input file?"
+            ),
+        ));
+    }
+    if source.fingerprint() != Some(checkpoint.source.fingerprint) {
+        return Err(ExitWith::new(
+            EXIT_BAD_INPUT,
+            format!(
+                "--resume: the first {lines} input records differ from the ones the \
+                 checkpoint summarised (fingerprint mismatch — wrong file, or a different \
+                 --format?); resuming would silently corrupt the audit"
+            ),
+        ));
+    }
+    Ok(true)
+}
+
+/// The audit driver behind both `kav stream` (`fleet = false`) and
+/// `kav serve`; only the [`Engine`] differs. Any failure that is not
+/// already an [`ExitWith`] (I/O, arg parsing, transport and protocol
+/// faults) verified nothing: it gets the bad-input code rather than the
+/// generic 1, which auditing scripts read as a proven violation.
+fn audit(args: &Args, fleet: bool) -> CmdResult {
+    drive(args, fleet).map_err(|e| -> Box<dyn Error> {
+        if e.is::<ExitWith>() {
+            e
+        } else {
+            ExitWith::new(EXIT_BAD_INPUT, e.to_string())
+        }
+    })
+}
+
+/// Feeds the input into a (fresh or resumed) engine, checkpointing and
+/// emitting progress at the configured cadences, then [`report`]s.
+/// Malformed records are skipped and counted, keeping only the first few
+/// messages (the run completes, then exits non-zero) — unless `--strict`,
+/// which aborts on the first one. Genuine I/O failures abort.
+fn drive(args: &Args, fleet: bool) -> CmdResult {
+    const MALFORMED_SAMPLES: usize = 10;
+    reject_unread_flags(args, fleet)?;
     let resume = match args.get("resume") {
         Some(path) => Some(read_checkpoint(path).map_err(|e| {
             ExitWith::new(EXIT_BAD_INPUT, format!("--resume {path}: {e}"))
@@ -762,92 +1241,169 @@ fn stream_inner(args: &Args) -> CmdResult {
     };
     // Verification parameters come from the flags on a fresh audit, and
     // from the checkpoint on a resumed one (where contradicting flags are
-    // rejected; shards/batch remain free — keys re-shard safely).
-    let (k, algo, window, horizon, model) = match &resume {
+    // rejected; shards/batch/workers remain free — keys re-shard safely).
+    let (semantics, window, horizon) = match &resume {
         Some(checkpoint) => {
             let p = &checkpoint.pipeline;
-            reject_resume_model_conflict(args, p.model)?;
-            reject_resume_conflict(args, "k", &p.k.to_string())?;
-            reject_resume_conflict(args, "algo", &p.algo)?;
             reject_resume_conflict(args, "window", &p.window.to_string())?;
             reject_resume_conflict(args, "horizon", &p.horizon.to_string())?;
-            (p.k, p.algo.clone(), p.window, Some(p.horizon), p.model)
+            (Semantics::recorded(args, p)?, p.window, Some(p.horizon))
         }
         None => {
-            let model = model_flag(args)?;
-            reject_model_flags(args, model)?;
-            let (k, algo) = if model.is_k_atomic() {
-                let k: u64 = args.get_parsed("k", 2)?;
-                let algo = args
-                    .get("algo")
-                    .unwrap_or(match k {
-                        1 => "gk",
-                        2 => "fzf",
-                        _ => "genk",
-                    })
-                    .to_string();
-                (k, algo)
-            } else {
-                // Model verifiers have no staleness parameter (they
-                // report k = 1) and the algo slot carries the model's
-                // own verifier name.
-                (1, model.as_str().to_string())
-            };
             let horizon = match args.get("horizon") {
                 Some(_) => Some(args.get_parsed("horizon", 0)?),
                 None => None, // default: DEFAULT_HORIZON_WINDOWS x window
             };
-            (k, algo, args.get_parsed("window", 1024)?, horizon, model)
+            (Semantics::from_flags(args)?, args.get_parsed("window", 1024)?, horizon)
         }
     };
-    let config = PipelineConfig {
-        window,
-        shards: args.get_parsed("shards", 4)?,
-        horizon,
-        batch: args.get_parsed("batch", PipelineConfig::default().batch)?,
-        checkpoint_every: args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?,
-    };
-    let session = StreamSession {
-        config,
-        strict: args.flag("strict"),
-        progress_every: args.get_parsed("progress-every", 0)?,
-        checkpoint_path: args.get("checkpoint"),
-        resume,
-        input: args
-            .positional(1)
-            .ok_or_else(|| ArgError("stream requires an NDJSON file argument (or -)".into()))?,
-        binary: format_flag(args)?,
-    };
-    // The gap-escalation budget for genk segments (search nodes per
-    // sealed window that reaches the bound gap). Not pinned by
-    // checkpoints: it trades UNKNOWNs for latency but never changes what
-    // a counted verdict means — see docs/OPERATIONS.md.
-    let gap_budget = gap_budget_flag(args, DEFAULT_GAP_BUDGET)?;
-    let (output, malformed, total_malformed) = match model {
-        ModelId::KAtomic => match (canonical_algo(&algo), k) {
-            ("gk", 1) => drive_stream(GkOneAv, session)?,
-            ("fzf", 2) => drive_stream(Fzf, session)?,
-            ("lbt", 2) => drive_stream(Lbt::new(), session)?,
-            ("genk", k) if k >= 1 => {
-                drive_stream(GenK::with_gap_budget(k, gap_budget), session)?
-            }
-            (a, k) => return Err(bad_algo_k(a, k, "")),
-        },
-        ModelId::Regular => drive_stream(RegularVerifier, session)?,
-        ModelId::Safe => drive_stream(SafeVerifier, session)?,
-        ModelId::Causal => drive_stream(causal_from_flags(args)?, session)?,
-    };
+    let plan = Plan::from_flags(args, fleet, &semantics, window, horizon)?;
+    let scale = plan.scale();
+    let strict = args.flag("strict");
+    let progress_every: u64 = args.get_parsed("progress-every", 0)?;
+    let checkpoint_path = args.get("checkpoint");
+    let input = args.positional(1).ok_or_else(|| {
+        let command = if fleet { "serve" } else { "stream" };
+        ArgError(format!("{command} requires an NDJSON file argument (or -)"))
+    })?;
+    let binary = format_flag(args)?;
 
-    println!(
-        "verified {} ops across {} keys ({}, window {}, {} shards)",
+    let mut source =
+        open_input(input, binary, checkpoint_path.is_some() || resume.is_some())?;
+    let mut malformed: Vec<String> = Vec::new();
+    let mut total_malformed: u64 = 0;
+    let mut engine = match &resume {
+        Some(checkpoint) => {
+            let verified = verify_prefix(source.as_mut(), checkpoint, input == "-")?;
+            total_malformed = checkpoint.source.malformed;
+            malformed = checkpoint.source.malformed_samples.clone();
+            let engine = Engine::start(plan, Some((&checkpoint.pipeline, verified)))?;
+            println!(
+                "resumed {}from checkpoint v{} ({} ops, {} records{})",
+                if fleet { "fleet " } else { "" },
+                checkpoint.version,
+                checkpoint.pipeline.ops_routed,
+                checkpoint.source.lines,
+                if verified { ", prefix verified" } else { ", prefix unverified" },
+            );
+            engine
+        }
+        None => Engine::start(plan, None)?,
+    };
+    let mut writer = checkpoint_path.map(|path| {
+        CheckpointWriter::starting_at(
+            path,
+            resume.as_ref().map_or(0, |checkpoint| checkpoint.version),
+        )
+    });
+
+    let mut records: u64 = 0;
+    let mut depth_window = DepthWindow::default();
+    // `while let` rather than `for`: the loop body needs the source back
+    // each iteration (unit counts, fingerprints) for checkpoint metadata.
+    while let Some(record) = source.next() {
+        match record {
+            Ok(record) => engine.push(&record)?,
+            Err(e @ NdjsonError::Parse { .. }) => {
+                if strict {
+                    return Err(ExitWith::new(EXIT_BAD_INPUT, format!("--strict: {e}")));
+                }
+                total_malformed += 1;
+                if malformed.len() < MALFORMED_SAMPLES {
+                    malformed.push(e.to_string());
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+        records += 1;
+        engine.after_record(records)?;
+        if let Some(writer) = &mut writer {
+            if engine.checkpoint_due() {
+                let snapshot = engine.snapshot()?;
+                let position = SourcePosition {
+                    lines: source.units_read(),
+                    fingerprint: source
+                        .fingerprint()
+                        .expect("checkpointing sessions always fingerprint"),
+                    malformed: total_malformed,
+                    malformed_samples: malformed.clone(),
+                };
+                writer.write(position, snapshot)?;
+            }
+        }
+        if progress_every > 0 && records.is_multiple_of(progress_every) {
+            // `kav serve` rejects --progress-every, so this is a pipeline.
+            if let Engine::Local(pipeline) = &mut engine {
+                let progress = pipeline.progress();
+                let window_depth = depth_window.observe(&progress.depth_hist);
+                let line = ProgressLine {
+                    record: "progress",
+                    lines: source.units_read(),
+                    checkpoint_version: writer.as_ref().map_or(0, CheckpointWriter::version),
+                    ops_routed: progress.ops_routed,
+                    ops: progress.ops,
+                    malformed: total_malformed,
+                    keys: progress.keys,
+                    segments: progress.segments,
+                    violating_keys: progress.violating_keys,
+                    errored_keys: progress.errored_keys,
+                    horizon_breaches: progress.horizon_breaches,
+                    orphaned_reads: progress.orphaned_reads,
+                    resident: progress.resident,
+                    peak_retired: progress.peak_retired,
+                    depth_hist: progress.depth_hist,
+                    window_depth,
+                    shards: progress.shards,
+                };
+                eprintln!(
+                    "{}",
+                    serde_json::to_string(&line).expect("progress records serialize")
+                );
+            }
+        }
+    }
+    let (output, summary) = engine.finish()?;
+    let header = format!(
+        "verified {} ops across {} keys ({}, window {}, {scale})",
         output.total_ops(),
         output.keys.len(),
-        semantics_label(model, &algo, k),
-        config.window.max(1),
-        config.shards.max(1),
+        semantics_label(semantics.model, &semantics.algo, semantics.k),
+        window.max(1),
     );
-    print_key_table(&output);
-    for line in &malformed {
+    report(&output, summary.as_ref(), &semantics, &header, &malformed, total_malformed)
+}
+
+/// Prints the report — the fleet summary when there is a fleet, the
+/// header, the key table, malformed records and key errors — and picks
+/// the exit code. A proven violation outranks input trouble: it is
+/// reported first (the input problems were already printed). Bad input
+/// without a violation exits with its own distinct code — "the tap is
+/// broken" is not "the store is inconsistent".
+fn report(
+    output: &PipelineOutput,
+    summary: Option<&FleetSummary>,
+    semantics: &Semantics,
+    header: &str,
+    malformed: &[String],
+    total_malformed: u64,
+) -> CmdResult {
+    let (model, k) = (semantics.model, semantics.k);
+    if let Some(summary) = summary {
+        println!(
+            "fleet: {} workers ({} alive at the end), {} ranges, {} hand-offs \
+             ({} uncertified), {} splits, {} frames dropped",
+            summary.workers,
+            summary.workers_alive,
+            summary.ranges,
+            summary.hand_offs,
+            summary.uncertified_hand_offs,
+            summary.splits,
+            summary.frames_dropped,
+        );
+    }
+    println!("{header}");
+    print_key_table(output);
+    for line in malformed {
         eprintln!("{line}");
     }
     if total_malformed > malformed.len() as u64 {
@@ -860,10 +1416,6 @@ fn stream_inner(args: &Args) -> CmdResult {
         eprintln!("key {key}: {error}");
     }
 
-    // A proven violation outranks input trouble: report it first (the
-    // input problems were already printed above). Bad input without a
-    // violation exits with its own distinct code — "the tap is broken" is
-    // not "the store is inconsistent".
     let violating =
         output.keys.iter().filter(|(_, r)| r.k_atomic() == Some(false)).count();
     if violating > 0 {
@@ -884,26 +1436,35 @@ fn stream_inner(args: &Args) -> CmdResult {
             format!("{total_malformed} malformed records were skipped"),
         ));
     }
-    match output.all_k_atomic() {
-        Some(true) => {
-            println!("YES: {}", certified_label(model, k));
-        }
+    let verdict = match summary {
+        Some(summary) => fleet_verdict(output, summary),
+        None => output.all_k_atomic(),
+    };
+    match verdict {
+        Some(true) => println!(
+            "YES: {}{}",
+            certified_label(model, k),
+            if summary.is_some() { " (fleet certified)" } else { "" }
+        ),
         Some(false) => unreachable!("violations and errors are handled above"),
-        None => {
-            if output.keys.iter().any(|(_, r)| r.resumed_uncertified) {
-                println!(
-                    "UNKNOWN: no violation found, but the resume chain could not be \
-                     verified (non-seekable input); re-run the audit end to end, or \
-                     resume from a file, to certify"
-                );
-            } else {
-                println!(
-                    "UNKNOWN: no violation found, but some reads outlived the window or \
-                     the retirement horizon; rerun with a larger --window / --horizon \
-                     to certify"
-                );
-            }
-        }
+        None => match summary {
+            Some(s) if s.uncertified_hand_offs > 0 || s.frames_dropped > 0 => println!(
+                "UNKNOWN: no violation found, but {} hand-off(s) lost their replay \
+                 and {} frames were dropped past the break; checkpoint at least \
+                 every --replay-cap records (or rerun end to end) to certify",
+                s.uncertified_hand_offs, s.frames_dropped,
+            ),
+            _ if output.keys.iter().any(|(_, r)| r.resumed_uncertified) => println!(
+                "UNKNOWN: no violation found, but the resume chain could not be \
+                 verified (non-seekable input); re-run the audit end to end, or \
+                 resume from a file, to certify"
+            ),
+            _ => println!(
+                "UNKNOWN: no violation found, but some reads outlived the window or \
+                 the retirement horizon; rerun with a larger --window / --horizon \
+                 to certify"
+            ),
+        },
     }
     Ok(())
 }
@@ -1005,681 +1566,6 @@ struct ProgressLine {
     window_depth: DepthStats,
     /// Per-shard breakdown.
     shards: Vec<ShardProgress>,
-}
-
-/// The three ingest paths `kav stream` reads records from, behind one
-/// cursor interface. Position units are raw input lines for NDJSON and
-/// frames for binary; checkpoints store whichever the session used, so a
-/// resume must keep the format (the fingerprint check enforces this).
-enum IngestSource<'a> {
-    /// stdin NDJSON through the serde reference decoder: a non-seekable
-    /// source cannot be memory-mapped, and keeping this path live in
-    /// production also keeps the reference decoder exercised.
-    Reference(ndjson::Reader<Box<dyn std::io::BufRead>>),
-    /// A memory-mapped NDJSON file through the zero-copy byte-slice
-    /// decoder — the default for file inputs. Produces the same records,
-    /// errors and fingerprints as [`IngestSource::Reference`], so
-    /// checkpoints written by either NDJSON path resume under the other.
-    ZeroCopy(ndjson::SliceReader<'a>),
-    /// A memory-mapped binary frame file (`--format binary`).
-    Binary(frame::FrameReader<'a>),
-}
-
-impl IngestSource<'_> {
-    fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, ndjson::NdjsonError>> {
-        match self {
-            IngestSource::Reference(r) => r.next(),
-            IngestSource::ZeroCopy(r) => r.next(),
-            IngestSource::Binary(r) => r.next(),
-        }
-    }
-
-    /// Raw input units (lines or frames) consumed so far.
-    fn units_read(&self) -> u64 {
-        match self {
-            IngestSource::Reference(r) => r.lines_read(),
-            IngestSource::ZeroCopy(r) => r.lines_read(),
-            IngestSource::Binary(r) => r.frames_read(),
-        }
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        match self {
-            IngestSource::Reference(r) => r.fingerprint(),
-            IngestSource::ZeroCopy(r) => r.fingerprint(),
-            IngestSource::Binary(r) => r.fingerprint(),
-        }
-    }
-
-    /// Skips up to `n` raw units without decoding them, returning how
-    /// many were consumed (resume prefix verification).
-    fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
-        match self {
-            IngestSource::Reference(r) => r.skip_raw_lines(n),
-            IngestSource::ZeroCopy(r) => r.skip_raw_lines(n),
-            IngestSource::Binary(r) => r.skip_raw_frames(n),
-        }
-    }
-}
-
-/// Feeds the session's input — stdin NDJSON, a memory-mapped NDJSON
-/// file, or a memory-mapped binary frame file — into a (fresh or
-/// resumed) pipeline, checkpointing and emitting progress at the
-/// configured cadences. Malformed records are skipped and counted,
-/// keeping only the first few messages (the run completes; the caller
-/// reports them and exits non-zero) — unless `strict`, which aborts on
-/// the first malformed record with [`EXIT_BAD_INPUT`]. Genuine I/O
-/// failures abort. Returns the pipeline output, the sample messages, and
-/// the total malformed count.
-fn drive_stream<V: Verifier + Clone + Send + 'static>(
-    verifier: V,
-    session: StreamSession<'_>,
-) -> Result<(PipelineOutput, Vec<String>, u64), Box<dyn Error>> {
-    const MALFORMED_SAMPLES: usize = 10;
-    let from_stdin = session.input == "-";
-    // Fingerprint whenever checkpoints are written (so they can later be
-    // verified) or verified (a resume).
-    let fingerprinted = session.checkpoint_path.is_some() || session.resume.is_some();
-    let mapped;
-    let mut source = if from_stdin {
-        if session.binary {
-            return Err(ExitWith::new(
-                EXIT_BAD_INPUT,
-                "--format binary requires a file argument (stdin ingest is NDJSON-only)",
-            ));
-        }
-        let raw: Box<dyn std::io::BufRead> = Box::new(std::io::stdin().lock());
-        IngestSource::Reference(if fingerprinted {
-            ndjson::Reader::with_fingerprint(raw, Fingerprint::new())
-        } else {
-            ndjson::Reader::new(raw)
-        })
-    } else {
-        mapped = crate::mmap::map_file(session.input)?;
-        if session.binary {
-            let reader = if fingerprinted {
-                frame::FrameReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                frame::FrameReader::new(&mapped)
-            }
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, format!("{}: {e}", session.input)))?;
-            IngestSource::Binary(reader)
-        } else {
-            IngestSource::ZeroCopy(if fingerprinted {
-                ndjson::SliceReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                ndjson::SliceReader::new(&mapped)
-            })
-        }
-    };
-
-    let mut malformed: Vec<String> = Vec::new();
-    let mut total_malformed: u64 = 0;
-    let mut pipeline = match &session.resume {
-        Some(checkpoint) => {
-            let prefix_verified = if from_stdin {
-                // A non-seekable source cannot re-prove the prefix: the
-                // operator feeds the remaining records, the audit
-                // continues, and YES degrades to UNKNOWN (NO stays
-                // sound). Lines and fingerprint restart with this run's
-                // input, consistent with any checkpoint written from it.
-                eprintln!(
-                    "warning: resuming from stdin skips prefix verification — \
-                     a YES verdict will degrade to UNKNOWN"
-                );
-                false
-            } else {
-                // Re-read the prefix the checkpoint summarised and prove
-                // it is byte-identical before trusting its verdicts.
-                let skipped = source.skip_units(checkpoint.source.lines)?;
-                if skipped < checkpoint.source.lines {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: input ends after {skipped} records but the \
-                             checkpoint covers {}; wrong input file?",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                if source.fingerprint() != Some(checkpoint.source.fingerprint) {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: the first {} input records differ from the ones \
-                             the checkpoint summarised (fingerprint mismatch — wrong \
-                             file, or a different --format?); resuming would silently \
-                             corrupt the audit",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                true
-            };
-            total_malformed = checkpoint.source.malformed;
-            malformed = checkpoint.source.malformed_samples.clone();
-            let pipeline = StreamPipeline::resume(
-                verifier,
-                session.config,
-                &checkpoint.pipeline,
-                prefix_verified,
-            )
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, e.to_string()))?;
-            println!(
-                "resumed from checkpoint v{} ({} ops, {} records{})",
-                checkpoint.version,
-                checkpoint.pipeline.ops_routed,
-                checkpoint.source.lines,
-                if prefix_verified { ", prefix verified" } else { ", prefix unverified" },
-            );
-            pipeline
-        }
-        None => StreamPipeline::new(verifier, session.config),
-    };
-    let mut writer = session.checkpoint_path.map(|path| {
-        CheckpointWriter::starting_at(
-            path,
-            session.resume.as_ref().map_or(0, |checkpoint| checkpoint.version),
-        )
-    });
-
-    let mut records: u64 = 0;
-    let mut depth_window = DepthWindow::default();
-    // `while let` rather than `for`: the loop body needs the source back
-    // each iteration (unit counts, fingerprints) for checkpoint metadata.
-    while let Some(record) = source.next_record() {
-        match record {
-            Ok(record) => pipeline.push(record.key, record.op()),
-            Err(e @ ndjson::NdjsonError::Parse { .. }) => {
-                if session.strict {
-                    return Err(ExitWith::new(EXIT_BAD_INPUT, format!("--strict: {e}")));
-                }
-                total_malformed += 1;
-                if malformed.len() < MALFORMED_SAMPLES {
-                    malformed.push(e.to_string());
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-        records += 1;
-        if let Some(writer) = &mut writer {
-            if pipeline.checkpoint_due() {
-                let snapshot = pipeline.snapshot();
-                let position = SourcePosition {
-                    lines: source.units_read(),
-                    fingerprint: source
-                        .fingerprint()
-                        .expect("checkpointing sessions always fingerprint"),
-                    malformed: total_malformed,
-                    malformed_samples: malformed.clone(),
-                };
-                writer.write(position, snapshot)?;
-            }
-        }
-        if session.progress_every > 0 && records.is_multiple_of(session.progress_every) {
-            let progress = pipeline.progress();
-            let window_depth = depth_window.observe(&progress.depth_hist);
-            let line = ProgressLine {
-                record: "progress",
-                lines: source.units_read(),
-                checkpoint_version: writer.as_ref().map_or(0, CheckpointWriter::version),
-                ops_routed: progress.ops_routed,
-                ops: progress.ops,
-                malformed: total_malformed,
-                keys: progress.keys,
-                segments: progress.segments,
-                violating_keys: progress.violating_keys,
-                errored_keys: progress.errored_keys,
-                horizon_breaches: progress.horizon_breaches,
-                orphaned_reads: progress.orphaned_reads,
-                resident: progress.resident,
-                peak_retired: progress.peak_retired,
-                depth_hist: progress.depth_hist,
-                window_depth,
-                shards: progress.shards,
-            };
-            eprintln!(
-                "{}",
-                serde_json::to_string(&line).expect("progress records serialize")
-            );
-        }
-    }
-    Ok((pipeline.finish(), malformed, total_malformed))
-}
-
-/// Maps the CLI `--algo` spelling (plus `k`) to the [`Verifier::name`]
-/// that goes on the fleet wire — workers refuse assignments whose name
-/// disagrees with the verifier they run, so the coordinator must speak
-/// the verifier's own name, not the flag alias.
-fn wire_algo_name(algo: &str, k: u64) -> Result<&'static str, Box<dyn Error>> {
-    match (canonical_algo(algo), k) {
-        ("gk", 1) => Ok("gk-zones"),
-        ("fzf", 2) => Ok("fzf"),
-        ("lbt", 2) => Ok("lbt"),
-        ("genk", k) if k >= 1 => Ok("genk"),
-        (a, k) => Err(bad_algo_k(a, k, "")),
-    }
-}
-
-/// `kav work` — one fleet worker: speaks the coordinator↔worker protocol
-/// on stdin/stdout until FINISH (exit 0) or a protocol fault (exit
-/// [`EXIT_BAD_INPUT`] with the diagnostic on stderr — a fault is unusable
-/// input, never a verdict). Spawned by `kav serve`; runnable by hand only
-/// for debugging the wire format.
-pub fn work(args: &Args) -> CmdResult {
-    let model = model_flag(args)?;
-    reject_model_flags(args, model)?;
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout().lock();
-    let result = if model.is_k_atomic() {
-        let k: u64 = args.get_parsed("k", 2)?;
-        let algo = args.get("algo").unwrap_or(match k {
-            1 => "gk",
-            2 => "fzf",
-            _ => "genk",
-        });
-        let gap_budget = gap_budget_flag(args, DEFAULT_GAP_BUDGET)?;
-        match (canonical_algo(algo), k) {
-            ("gk", 1) => worker_loop(GkOneAv, stdin, stdout),
-            ("fzf", 2) => worker_loop(Fzf, stdin, stdout),
-            ("lbt", 2) => worker_loop(Lbt::new(), stdin, stdout),
-            ("genk", k) if k >= 1 => {
-                worker_loop(GenK::with_gap_budget(k, gap_budget), stdin, stdout)
-            }
-            (a, k) => return Err(bad_algo_k(a, k, "")),
-        }
-    } else {
-        match model {
-            ModelId::Regular => worker_loop(RegularVerifier, stdin, stdout),
-            ModelId::Safe => worker_loop(SafeVerifier, stdin, stdout),
-            ModelId::Causal => worker_loop(causal_from_flags(args)?, stdin, stdout),
-            ModelId::KAtomic => unreachable!("handled above"),
-        }
-    };
-    result.map_err(|e| -> Box<dyn Error> {
-        ExitWith::new(EXIT_BAD_INPUT, format!("worker: {e}"))
-    })
-}
-
-/// `kav serve` — multi-process fleet verification: the coordinator
-/// partitions the key space over `--workers` spawned `kav work`
-/// processes, fans ingest out by key hash, merges their checkpoints at
-/// cadence and their final reports at the end. Exit codes, checkpoint
-/// files and the report table are interchangeable with `kav stream`;
-/// worker death is absorbed by checkpoint hand-off (see
-/// docs/OPERATIONS.md, "Running a fleet").
-pub fn serve(args: &Args) -> CmdResult {
-    serve_inner(args).map_err(|e| -> Box<dyn Error> {
-        if e.is::<ExitWith>() {
-            e
-        } else {
-            // Transport and protocol faults verified nothing: bad input,
-            // never the violation code.
-            ExitWith::new(EXIT_BAD_INPUT, e.to_string())
-        }
-    })
-}
-
-fn serve_inner(args: &Args) -> CmdResult {
-    const MALFORMED_SAMPLES: usize = 10;
-    let resume = match args.get("resume") {
-        Some(path) => Some(read_checkpoint(path).map_err(|e| {
-            ExitWith::new(EXIT_BAD_INPUT, format!("--resume {path}: {e}"))
-        })?),
-        None => None,
-    };
-    // Verification parameters resolve exactly as in `kav stream`: flags
-    // on a fresh audit, the checkpoint on a resumed one.
-    let (k, algo, window, horizon, model) = match &resume {
-        Some(checkpoint) => {
-            let p = &checkpoint.pipeline;
-            reject_resume_model_conflict(args, p.model)?;
-            reject_resume_conflict(args, "k", &p.k.to_string())?;
-            reject_resume_conflict(args, "algo", &p.algo)?;
-            reject_resume_conflict(args, "window", &p.window.to_string())?;
-            reject_resume_conflict(args, "horizon", &p.horizon.to_string())?;
-            (p.k, p.algo.clone(), p.window, Some(p.horizon), p.model)
-        }
-        None => {
-            let model = model_flag(args)?;
-            reject_model_flags(args, model)?;
-            let (k, algo) = if model.is_k_atomic() {
-                let k: u64 = args.get_parsed("k", 2)?;
-                let algo = args
-                    .get("algo")
-                    .unwrap_or(match k {
-                        1 => "gk",
-                        2 => "fzf",
-                        _ => "genk",
-                    })
-                    .to_string();
-                (k, algo)
-            } else {
-                (1, model.as_str().to_string())
-            };
-            let horizon = match args.get("horizon") {
-                Some(_) => Some(args.get_parsed("horizon", 0)?),
-                None => None,
-            };
-            (k, algo, args.get_parsed("window", 1024)?, horizon, model)
-        }
-    };
-    let workers: usize = args.get_parsed("workers", 2)?;
-    if workers == 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            "--workers 0: a fleet needs at least one worker",
-        ));
-    }
-    // The causal closure budget and the k-atomic gap budget share the
-    // flag, but not the default: each model's own ceiling applies.
-    let gap_budget = gap_budget_flag(
-        args,
-        if model == ModelId::Causal { DEFAULT_CAUSAL_BUDGET } else { DEFAULT_GAP_BUDGET },
-    )?;
-    let config = FleetConfig {
-        // On the wire the algo slot must carry the verifier's own name;
-        // for model runs that is the model's name.
-        algo: if model.is_k_atomic() {
-            wire_algo_name(&algo, k)?.to_string()
-        } else {
-            model.as_str().to_string()
-        },
-        model,
-        k,
-        window,
-        horizon,
-        // One pipeline thread per worker by default: the fleet's
-        // parallelism is the processes themselves.
-        worker_shards: args.get_parsed("shards", 1)?,
-        batch: args.get_parsed("batch", FleetConfig::default().batch)?,
-        checkpoint_every: args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?,
-        replay_cap: args.get_parsed("replay-cap", DEFAULT_REPLAY_CAP)?,
-    };
-    let kill: Option<(usize, u64)> = match args.get("kill-worker") {
-        None => None,
-        Some(v) => {
-            let parsed = v.split_once(':').and_then(|(idx, at)| {
-                Some((idx.parse().ok()?, at.parse().ok()?))
-            });
-            let (idx, at) = parsed.ok_or_else(|| {
-                ArgError(format!("--kill-worker: expected idx:records, got {v:?}"))
-            })?;
-            if idx >= workers {
-                return Err(ExitWith::new(
-                    EXIT_BAD_INPUT,
-                    format!("--kill-worker {idx}: the fleet has workers 0..{workers}"),
-                ));
-            }
-            Some((idx, at))
-        }
-    };
-    let split_at: u64 = args.get_parsed("split-hottest", 0)?;
-    let input = args.positional(1).ok_or_else(|| {
-        ArgError("serve requires an NDJSON file argument (or -)".into())
-    })?;
-    let binary = format_flag(args)?;
-    let strict = args.flag("strict");
-    let checkpoint_path = args.get("checkpoint");
-
-    // Spawn the fleet before touching the input: a fleet that cannot
-    // start verifies nothing. Children speak the protocol on their
-    // stdin/stdout; stderr passes through for diagnostics.
-    let exe = std::env::current_exe()?;
-    let mut children: Vec<std::process::Child> = Vec::with_capacity(workers);
-    let mut links: Vec<WorkerLink> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let mut command = std::process::Command::new(&exe);
-        command.arg("work");
-        if model.is_k_atomic() {
-            // `kav work` rejects --algo/--k alongside a non-default
-            // --model, so each spawn passes exactly one vocabulary.
-            command.arg("--algo").arg(canonical_algo(&algo));
-            command.arg("--k").arg(k.to_string());
-        } else {
-            command.arg("--model").arg(model.as_str());
-        }
-        let mut child = command
-            .arg("--gap-budget")
-            .arg(match gap_budget {
-                Some(nodes) => nodes.to_string(),
-                None => "unbounded".to_string(),
-            })
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .spawn()?;
-        let child_stdin = child.stdin.take().expect("stdin is piped");
-        let child_stdout = child.stdout.take().expect("stdout is piped");
-        links.push(WorkerLink {
-            writer: Box::new(std::io::BufWriter::new(child_stdin)),
-            reader: Box::new(std::io::BufReader::new(child_stdout)),
-        });
-        children.push(child);
-    }
-
-    let from_stdin = input == "-";
-    let fingerprinted = checkpoint_path.is_some() || resume.is_some();
-    let mapped;
-    let mut source = if from_stdin {
-        if binary {
-            return Err(ExitWith::new(
-                EXIT_BAD_INPUT,
-                "--format binary requires a file argument (stdin ingest is NDJSON-only)",
-            ));
-        }
-        let raw: Box<dyn std::io::BufRead> = Box::new(std::io::stdin().lock());
-        IngestSource::Reference(if fingerprinted {
-            ndjson::Reader::with_fingerprint(raw, Fingerprint::new())
-        } else {
-            ndjson::Reader::new(raw)
-        })
-    } else {
-        mapped = crate::mmap::map_file(input)?;
-        if binary {
-            let reader = if fingerprinted {
-                frame::FrameReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                frame::FrameReader::new(&mapped)
-            }
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, format!("{input}: {e}")))?;
-            IngestSource::Binary(reader)
-        } else {
-            IngestSource::ZeroCopy(if fingerprinted {
-                ndjson::SliceReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                ndjson::SliceReader::new(&mapped)
-            })
-        }
-    };
-
-    let mut malformed: Vec<String> = Vec::new();
-    let mut total_malformed: u64 = 0;
-    let mut fleet = match &resume {
-        Some(checkpoint) => {
-            let prefix_verified = if from_stdin {
-                eprintln!(
-                    "warning: resuming from stdin skips prefix verification — \
-                     a YES verdict will degrade to UNKNOWN"
-                );
-                false
-            } else {
-                let skipped = source.skip_units(checkpoint.source.lines)?;
-                if skipped < checkpoint.source.lines {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: input ends after {skipped} records but the \
-                             checkpoint covers {}; wrong input file?",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                if source.fingerprint() != Some(checkpoint.source.fingerprint) {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: the first {} input records differ from the ones \
-                             the checkpoint summarised (fingerprint mismatch — wrong \
-                             file, or a different --format?); resuming would silently \
-                             corrupt the audit",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                true
-            };
-            total_malformed = checkpoint.source.malformed;
-            malformed = checkpoint.source.malformed_samples.clone();
-            let fleet =
-                FleetCoordinator::resume(config, links, &checkpoint.pipeline, prefix_verified)
-                    .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, e.to_string()))?;
-            println!(
-                "resumed fleet from checkpoint v{} ({} ops, {} records{})",
-                checkpoint.version,
-                checkpoint.pipeline.ops_routed,
-                checkpoint.source.lines,
-                if prefix_verified { ", prefix verified" } else { ", prefix unverified" },
-            );
-            fleet
-        }
-        None => FleetCoordinator::new(config, links)?,
-    };
-    let mut writer = checkpoint_path.map(|path| {
-        CheckpointWriter::starting_at(
-            path,
-            resume.as_ref().map_or(0, |checkpoint| checkpoint.version),
-        )
-    });
-
-    let mut records: u64 = 0;
-    while let Some(record) = source.next_record() {
-        match record {
-            Ok(record) => fleet.push(record.key, record.op())?,
-            Err(e @ ndjson::NdjsonError::Parse { .. }) => {
-                if strict {
-                    return Err(ExitWith::new(EXIT_BAD_INPUT, format!("--strict: {e}")));
-                }
-                total_malformed += 1;
-                if malformed.len() < MALFORMED_SAMPLES {
-                    malformed.push(e.to_string());
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-        records += 1;
-        if let Some((idx, at)) = kill {
-            if records == at {
-                // Fault-injection hook: SIGKILL the worker mid-stream; the
-                // coordinator must absorb it by checkpoint hand-off.
-                children[idx].kill()?;
-                children[idx].wait()?;
-            }
-        }
-        if split_at > 0 && records == split_at {
-            fleet.split_hottest()?;
-        }
-        if let Some(writer) = &mut writer {
-            if fleet.checkpoint_due() {
-                let snapshot = fleet.snapshot_fleet()?;
-                let position = SourcePosition {
-                    lines: source.units_read(),
-                    fingerprint: source
-                        .fingerprint()
-                        .expect("checkpointing sessions always fingerprint"),
-                    malformed: total_malformed,
-                    malformed_samples: malformed.clone(),
-                };
-                writer.write(position, snapshot)?;
-            }
-        }
-    }
-    let (output, summary) = fleet.finish()?;
-    for child in &mut children {
-        let _ = child.wait();
-    }
-
-    println!(
-        "fleet: {} workers ({} alive at the end), {} ranges, {} hand-offs \
-         ({} uncertified), {} splits, {} frames dropped",
-        summary.workers,
-        summary.workers_alive,
-        summary.ranges,
-        summary.hand_offs,
-        summary.uncertified_hand_offs,
-        summary.splits,
-        summary.frames_dropped,
-    );
-    println!(
-        "verified {} ops across {} keys ({}, window {}, {} workers)",
-        output.total_ops(),
-        output.keys.len(),
-        semantics_label(model, &algo, k),
-        window.max(1),
-        workers,
-    );
-    print_key_table(&output);
-    for line in &malformed {
-        eprintln!("{line}");
-    }
-    if total_malformed > malformed.len() as u64 {
-        eprintln!(
-            "... and {} more malformed records",
-            total_malformed - malformed.len() as u64
-        );
-    }
-    for (key, error) in &output.errors {
-        eprintln!("key {key}: {error}");
-    }
-
-    let violating =
-        output.keys.iter().filter(|(_, r)| r.k_atomic() == Some(false)).count();
-    if violating > 0 {
-        return Err(ExitWith::new(
-            EXIT_VIOLATION,
-            format!("NO: {violating} keys {}", violation_label(model, k)),
-        ));
-    }
-    if !output.errors.is_empty() {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{} keys had unusable streams", output.errors.len()),
-        ));
-    }
-    if total_malformed > 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{total_malformed} malformed records were skipped"),
-        ));
-    }
-    match fleet_verdict(&output, &summary) {
-        Some(true) => {
-            println!("YES: {} (fleet certified)", certified_label(model, k));
-        }
-        Some(false) => unreachable!("violations and errors are handled above"),
-        None => {
-            if summary.uncertified_hand_offs > 0 || summary.frames_dropped > 0 {
-                println!(
-                    "UNKNOWN: no violation found, but {} hand-off(s) lost their replay \
-                     and {} frames were dropped past the break; checkpoint at least \
-                     every --replay-cap records (or rerun end to end) to certify",
-                    summary.uncertified_hand_offs, summary.frames_dropped,
-                );
-            } else if output.keys.iter().any(|(_, r)| r.resumed_uncertified) {
-                println!(
-                    "UNKNOWN: no violation found, but the resume chain could not be \
-                     verified (non-seekable input); re-run the audit end to end, or \
-                     resume from a file, to certify"
-                );
-            } else {
-                println!(
-                    "UNKNOWN: no violation found, but some reads outlived the window or \
-                     the retirement horizon; rerun with a larger --window / --horizon \
-                     to certify"
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 /// `kav reduce` — the Figure-5 bin-packing reduction.

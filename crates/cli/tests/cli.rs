@@ -138,7 +138,7 @@ fn malformed_input_is_reported() {
     assert!(stderr(&out).contains("requires a value"));
 }
 
-fn kav_with_stdin(args: &[&str], stdin: &str) -> Output {
+fn kav_with_stdin(args: &[&str], stdin: impl AsRef<[u8]>) -> Output {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_kav"))
@@ -150,7 +150,7 @@ fn kav_with_stdin(args: &[&str], stdin: &str) -> Output {
         .expect("kav binary spawns");
     // A write error (EPIPE) is fine: kav exits without draining stdin
     // when its flags are rejected up front.
-    let _ = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    let _ = child.stdin.take().unwrap().write_all(stdin.as_ref());
     child.wait_with_output().expect("kav binary runs")
 }
 
@@ -909,6 +909,123 @@ fn serve_rejects_bad_fleet_flags_with_exit_2() {
     let out = kav(&["serve", "--workers", "2", "--kill-worker", "nonsense", path]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("idx:records"), "{}", stderr(&out));
+
+    // A flag the fleet never reads is rejected, not silently ignored.
+    let out = kav(&["serve", "--workers", "2", "--progress-every", "10", path]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--progress-every"), "{}", stderr(&out));
+}
+
+#[test]
+fn stream_rejects_fleet_flags_with_exit_2() {
+    let path = stream_fixture("stream_fleet_flags.ndjson");
+    let path = path.to_str().unwrap();
+    for (flag, value) in [
+        ("--workers", "2"),
+        ("--replay-cap", "64"),
+        ("--split-hottest", "10"),
+        ("--kill-worker", "0:5"),
+    ] {
+        let out = kav(&["stream", flag, value, path]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{flag}: nothing is verified");
+    }
+}
+
+/// Generates the same 3-key stream as NDJSON and as binary frames and
+/// returns both paths.
+fn binary_twin_fixture(name: &str) -> (PathBuf, PathBuf) {
+    let ndjson = temp_file(&format!("{name}.ndjson"));
+    let binary = temp_file(&format!("{name}.bin"));
+    for (path, format) in [(&ndjson, "ndjson"), (&binary, "binary")] {
+        let out = kav(&[
+            "gen", "--workload", "stream", "--keys", "3", "--n", "80", "--seed", "7",
+            "--format", format, "--out", path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+    }
+    (ndjson, binary)
+}
+
+#[test]
+fn stream_and_serve_read_binary_frames_like_ndjson() {
+    let (ndjson, binary) = binary_twin_fixture("binary_twin");
+    let (ndjson, binary) = (ndjson.to_str().unwrap(), binary.to_str().unwrap());
+    let reference = kav(&["stream", "--window", "32", ndjson]);
+    assert_eq!(reference.status.code(), Some(0), "{}", stderr(&reference));
+    let table = key_table(&stdout(&reference));
+    assert!(table.len() > 1, "{}", stdout(&reference));
+
+    let framed = kav(&["stream", "--window", "32", "--format", "binary", binary]);
+    assert_eq!(framed.status.code(), Some(0), "{}", stderr(&framed));
+    assert_eq!(stdout(&framed), stdout(&reference));
+
+    let fleet = kav(&["serve", "--workers", "2", "--window", "32", "--format", "binary", binary]);
+    assert_eq!(fleet.status.code(), Some(0), "{}", stderr(&fleet));
+    assert_eq!(key_table(&stdout(&fleet)), table);
+    assert!(stdout(&fleet).contains("fleet certified"), "{}", stdout(&fleet));
+}
+
+#[test]
+fn stream_reads_binary_frames_from_stdin() {
+    let (ndjson, binary) = binary_twin_fixture("binary_stdin");
+    let reference = kav(&["stream", "--window", "32", ndjson.to_str().unwrap()]);
+    assert_eq!(reference.status.code(), Some(0), "{}", stderr(&reference));
+    let frames = std::fs::read(&binary).unwrap();
+    let out = kav_with_stdin(&["stream", "--window", "32", "--format", "binary", "-"], &frames);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(stdout(&out), stdout(&reference));
+
+    // Resuming from binary stdin continues the audit but, as for NDJSON
+    // stdin, cannot prove the prefix: YES degrades to UNKNOWN.
+    let ckpt = temp_file("binary_stdin.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let out = kav(&[
+        "stream", "--window", "32", "--format", "binary", "--checkpoint",
+        ckpt.to_str().unwrap(), "--checkpoint-every", "50", binary.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let frames_done = checkpoint_lines(&ckpt);
+    assert!(frames_done > 0);
+    // The magic, then the frames the checkpoint did not cover (37-byte
+    // v1 frames: the stream workload is untagged).
+    let mut remainder = frames[..8].to_vec();
+    remainder.extend_from_slice(&frames[8 + frames_done * 37..]);
+    let out = kav_with_stdin(
+        &["stream", "--format", "binary", "--resume", ckpt.to_str().unwrap(), "-"],
+        &remainder,
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("prefix unverified"), "{text}");
+    assert!(text.contains("UNKNOWN"), "{text}");
+    assert!(text.contains("resume chain"), "{text}");
+    assert!(stderr(&out).contains("resuming from stdin"), "{}", stderr(&out));
+}
+
+#[test]
+fn binary_stream_checkpoint_resumes_under_serve() {
+    let (_, binary) = binary_twin_fixture("binary_to_fleet");
+    let binary = binary.to_str().unwrap();
+    let reference = kav(&["stream", "--window", "32", "--format", "binary", binary]);
+    assert_eq!(reference.status.code(), Some(0), "{}", stderr(&reference));
+    let ckpt = temp_file("binary_to_fleet.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let ckpt = ckpt.to_str().unwrap();
+    let out = kav(&[
+        "stream", "--window", "32", "--format", "binary", "--checkpoint", ckpt,
+        "--checkpoint-every", "50", binary,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let resumed = kav(&["serve", "--workers", "2", "--format", "binary", "--resume", ckpt, binary]);
+    assert_eq!(resumed.status.code(), Some(0), "{}", stderr(&resumed));
+    let text = stdout(&resumed);
+    assert!(text.contains("resumed fleet from checkpoint"), "{text}");
+    assert!(text.contains("prefix verified"), "{text}");
+    assert!(text.contains("fleet certified"), "{text}");
+    assert_eq!(key_table(&text), key_table(&stdout(&reference)));
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //!     37     8  client  (u64 LE, v2 only; 0 = untagged)
 //! ```
 //!
-//! [`FrameReader`] sniffs the leading magic and decodes either version;
+//! [`FrameStream`] sniffs the leading magic and decodes either version;
 //! writers pick one explicitly ([`FrameWriter::new`] for v1, which rejects
 //! client-tagged records rather than silently dropping the tag, and
 //! [`FrameWriter::new_v2`] for v2).
@@ -28,7 +28,7 @@
 //!   shards live in other processes.
 //! * **On disk / on the wire** — a stream file is the 8-byte magic
 //!   [`FRAME_MAGIC`] followed by consecutive frames (`kav gen --format
-//!   binary`, `kav stream --format binary`). [`FrameReader`] mirrors the
+//!   binary`, `kav stream --format binary`). [`FrameStream`] mirrors the
 //!   NDJSON readers' accounting: frames take the place of lines in
 //!   checkpoint positions, and the resume [`Fingerprint`] chain digests
 //!   one chunk per frame — so a checkpoint records which format produced
@@ -37,10 +37,12 @@
 
 use crate::fxhash::Fingerprint;
 use crate::ndjson::{NdjsonError, StreamRecord};
+use crate::refill::Units;
 use crate::{OpKind, Operation, Time, Value, Weight, UNTAGGED_CLIENT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
+use std::io::Read;
 use std::path::Path;
 
 /// Leading magic of a v1 binary stream file (37-byte frames, no client).
@@ -510,31 +512,33 @@ pub fn write_frames<'a>(
     Ok(())
 }
 
-/// Reader over an in-memory binary frame stream (an mmap'd file or fully
-/// buffered pipe) — the frame-format peer of `ndjson::SliceReader`.
+/// Reader over a binary frame stream from any [`Read`] — a file, stdin, a
+/// pipe, a byte slice — and the frame-format peer of
+/// [`LineStream`](crate::ndjson::LineStream), sharing its refill buffer.
 ///
-/// Frames take the place of lines: [`frames_read`](FrameReader::frames_read)
+/// Frames take the place of lines: [`frames_read`](FrameStream::frames_read)
 /// is the checkpoint position unit, errors carry the 1-based frame number,
 /// and the resume [`Fingerprint`] chain digests one chunk per consumed
-/// frame (malformed ones included, like malformed NDJSON lines).
-pub struct FrameReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    frames: u64,
+/// frame (malformed ones included, like malformed NDJSON lines) however
+/// the input was chunked.
+pub struct FrameStream<R> {
+    units: Units<R>,
     frame_len: usize,
-    fingerprint: Option<Fingerprint>,
 }
 
-impl<'a> FrameReader<'a> {
+/// [`FrameStream`] over an in-memory byte slice.
+pub type FrameReader<'a> = FrameStream<&'a [u8]>;
+
+impl<R: Read> FrameStream<R> {
     /// Wraps a frame stream (no fingerprinting), sniffing the leading
     /// magic to pick the v1 or v2 layout.
     ///
     /// # Errors
     ///
     /// Rejects input that begins with neither [`FRAME_MAGIC`] nor
-    /// [`FRAME_MAGIC_V2`].
-    pub fn new(bytes: &'a [u8]) -> Result<Self, NdjsonError> {
-        Self::build(bytes, None)
+    /// [`FRAME_MAGIC_V2`], and propagates I/O errors reading it.
+    pub fn new(input: R) -> Result<Self, NdjsonError> {
+        Self::open(input, None)
     }
 
     /// Wraps a frame stream and fingerprints every consumed frame.
@@ -542,106 +546,81 @@ impl<'a> FrameReader<'a> {
     /// # Errors
     ///
     /// Rejects input that begins with neither [`FRAME_MAGIC`] nor
-    /// [`FRAME_MAGIC_V2`].
-    pub fn with_fingerprint(bytes: &'a [u8], fingerprint: Fingerprint) -> Result<Self, NdjsonError> {
-        Self::build(bytes, Some(fingerprint))
+    /// [`FRAME_MAGIC_V2`], and propagates I/O errors reading it.
+    pub fn with_fingerprint(input: R, fingerprint: Fingerprint) -> Result<Self, NdjsonError> {
+        Self::open(input, Some(fingerprint))
     }
 
-    fn build(bytes: &'a [u8], fingerprint: Option<Fingerprint>) -> Result<Self, NdjsonError> {
-        let frame_len = if bytes.len() >= FRAME_MAGIC.len() && bytes[..FRAME_MAGIC.len()] == FRAME_MAGIC {
-            FRAME_LEN
-        } else if bytes.len() >= FRAME_MAGIC_V2.len() && bytes[..FRAME_MAGIC_V2.len()] == FRAME_MAGIC_V2 {
-            FRAME_LEN_V2
-        } else {
-            return Err(NdjsonError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "not a kav binary frame stream (bad magic; expected KAVF0001 or KAVF0002)",
-            )));
+    fn open(input: R, fingerprint: Option<Fingerprint>) -> Result<Self, NdjsonError> {
+        let mut units = Units::new(input, fingerprint);
+        let frame_len = match units.header(FRAME_MAGIC.len())? {
+            magic if magic == FRAME_MAGIC => FRAME_LEN,
+            magic if magic == FRAME_MAGIC_V2 => FRAME_LEN_V2,
+            _ => {
+                return Err(NdjsonError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "not a kav binary frame stream (bad magic; expected KAVF0001 or KAVF0002)",
+                )))
+            }
         };
-        Ok(FrameReader { bytes, pos: FRAME_MAGIC.len(), frames: 0, frame_len, fingerprint })
+        Ok(FrameStream { units, frame_len })
     }
 
     /// Frames consumed so far (malformed ones included) — the position
     /// unit checkpoints record for binary ingest, as `lines_read` is for
     /// NDJSON.
     pub fn frames_read(&self) -> u64 {
-        self.frames
+        self.units.units()
     }
 
     /// The running digest of all consumed frames, when fingerprinting.
     pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint.as_ref().map(Fingerprint::value)
-    }
-
-    /// The next raw frame — one layout-width chunk, or a shorter
-    /// truncated tail.
-    fn peek_raw_frame(&self) -> Option<&'a [u8]> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.pos..];
-        Some(&rest[..rest.len().min(self.frame_len)])
-    }
-
-    fn consume(&mut self, frame: &[u8]) {
-        self.pos += frame.len();
-        self.frames += 1;
-        if let Some(fp) = &mut self.fingerprint {
-            fp.update(frame);
-        }
-    }
-
-    fn parse_error(&self, message: String) -> NdjsonError {
-        NdjsonError::Parse {
-            line: self.frames as usize,
-            source: serde::DeError::custom(message).into(),
-        }
+        self.units.fingerprint()
     }
 
     /// Consumes up to `n` raw frames without decoding them (they still
-    /// count toward [`frames_read`](FrameReader::frames_read) and the
+    /// count toward [`frames_read`](FrameStream::frames_read) and the
     /// fingerprint; a truncated tail counts as one frame). Returns how
     /// many frames were actually available.
     ///
     /// # Errors
     ///
-    /// Infallible in practice; `io::Result` for signature parity with the
-    /// NDJSON readers' `skip_raw_lines`.
+    /// Propagates I/O errors from the underlying reader.
     pub fn skip_raw_frames(&mut self, n: u64) -> std::io::Result<u64> {
         let mut skipped = 0;
-        while skipped < n {
-            let Some(raw) = self.peek_raw_frame() else { break };
-            self.consume(raw);
+        while skipped < n && self.units.next_fixed(self.frame_len)?.is_some() {
             skipped += 1;
         }
         Ok(skipped)
     }
 }
 
-impl Iterator for FrameReader<'_> {
+impl<R: Read> Iterator for FrameStream<R> {
     type Item = Result<StreamRecord, NdjsonError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let raw = self.peek_raw_frame()?;
-        self.consume(raw);
+        let (frame, raw) = match self.units.next_fixed(self.frame_len) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return None,
+            Err(e) => return Some(Err(e.into())),
+        };
+        let parse_error = |message: String| NdjsonError::Parse {
+            line: frame as usize,
+            source: serde::DeError::custom(message).into(),
+        };
         if raw.len() < self.frame_len {
-            return Some(Err(self.parse_error(format!(
+            return Some(Err(parse_error(format!(
                 "truncated frame: {} trailing bytes (frames are {} bytes)",
                 raw.len(),
                 self.frame_len
             ))));
         }
-        let decoded = if self.frame_len == FRAME_LEN_V2 {
-            decode_frame_v2(raw)
-        } else {
-            decode_frame(raw)
-        };
-        match decoded {
-            Ok((key, op)) => Some(Ok(StreamRecord::new(key, op))),
-            Err(bad) => Some(Err(
-                self.parse_error(format!("invalid kind byte {bad} (0 = read, 1 = write)"))
-            )),
-        }
+        let decoded =
+            if self.frame_len == FRAME_LEN_V2 { decode_frame_v2(raw) } else { decode_frame(raw) };
+        Some(match decoded {
+            Ok((key, op)) => Ok(StreamRecord::new(key, op)),
+            Err(bad) => Err(parse_error(format!("invalid kind byte {bad} (0 = read, 1 = write)"))),
+        })
     }
 }
 

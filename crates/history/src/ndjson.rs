@@ -29,12 +29,13 @@
 //! Blank lines are ignored.
 
 use crate::fxhash::Fingerprint;
+use crate::refill::Units;
 use crate::{OpKind, Operation, Time, Value, Weight, UNTAGGED_CLIENT};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, Read};
 use std::path::Path;
 
 /// One line of an NDJSON operation stream: an operation plus its register.
@@ -686,6 +687,10 @@ impl<W: std::io::Write> StreamWriter<W> {
 /// Streaming reader over any [`BufRead`], yielding records with 1-based
 /// line numbers attached to errors. Blank lines are skipped.
 ///
+/// This is the reference decoder: it reads through `read_line` and
+/// [`parse_line`] (serde), and the equivalence suites hold
+/// [`LineStream`] to it. Production ingest goes through [`LineStream`].
+///
 /// For checkpointable audits the reader can also maintain a running
 /// [`Fingerprint`] of every *raw line* it consumes (including blank and
 /// malformed ones): a resumed audit re-reads the already-processed prefix
@@ -774,110 +779,83 @@ impl<R: BufRead> Iterator for Reader<R> {
     }
 }
 
-/// Streaming reader over an in-memory byte slice (an mmap'd file or a
-/// fully buffered pipe), decoding through [`parse_line_bytes`] — the
-/// zero-copy twin of [`Reader`].
+/// Streaming NDJSON reader over any [`Read`] — a file, stdin, a pipe, a
+/// byte slice — decoding through [`parse_line_bytes`]. This is the reader
+/// `kav stream` and `kav serve` ingest NDJSON with; [`Reader`] is its
+/// serde-backed test oracle.
 ///
-/// Line accounting, blank-line handling, parse verdicts, 1-based error
+/// Input is read in chunks into a refill buffer, and each line is decoded
+/// in place once it is whole, however the chunks fell. Line accounting,
+/// blank-line handling, UTF-8 handling, parse verdicts, 1-based error
 /// lines and the [`Fingerprint`] chain are identical to [`Reader`] over
-/// the same bytes (property-tested), so checkpoints written against one
-/// reader resume against the other.
-pub struct SliceReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u64,
-    fingerprint: Option<Fingerprint>,
+/// the same bytes (property-tested with sources that yield a few bytes
+/// per read), so checkpoints written against one reader resume against
+/// the other.
+pub struct LineStream<R> {
+    units: Units<R>,
 }
 
-impl<'a> SliceReader<'a> {
-    /// Wraps a byte slice (no fingerprinting).
-    pub fn new(bytes: &'a [u8]) -> Self {
-        SliceReader { bytes, pos: 0, line: 0, fingerprint: None }
+/// [`LineStream`] over an in-memory byte slice.
+pub type SliceReader<'a> = LineStream<&'a [u8]>;
+
+impl<R: Read> LineStream<R> {
+    /// Wraps a reader (no fingerprinting).
+    pub fn new(input: R) -> Self {
+        LineStream { units: Units::new(input, None) }
     }
 
-    /// Wraps a byte slice and fingerprints every consumed line — pass
+    /// Wraps a reader and fingerprints every consumed line — pass
     /// [`Fingerprint::new`] for a fresh stream, or a digest carried over
     /// from a checkpoint to continue its chain.
-    pub fn with_fingerprint(bytes: &'a [u8], fingerprint: Fingerprint) -> Self {
-        SliceReader { bytes, pos: 0, line: 0, fingerprint: Some(fingerprint) }
+    pub fn with_fingerprint(input: R, fingerprint: Fingerprint) -> Self {
+        LineStream { units: Units::new(input, Some(fingerprint)) }
     }
 
     /// Lines consumed so far (blank and malformed lines included).
     pub fn lines_read(&self) -> u64 {
-        self.line
+        self.units.units()
     }
 
     /// The running digest of all consumed lines, when fingerprinting.
     pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint.as_ref().map(Fingerprint::value)
-    }
-
-    /// The next raw line including its `\n` terminator (the final line
-    /// may lack one); `None` at end of input. Does not consume.
-    fn peek_raw_line(&self) -> Option<&'a [u8]> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.pos..];
-        let end = rest.iter().position(|&b| b == b'\n').map_or(rest.len(), |i| i + 1);
-        Some(&rest[..end])
-    }
-
-    /// Counts and fingerprints a peeked raw line.
-    fn consume(&mut self, line: &[u8]) {
-        self.pos += line.len();
-        self.line += 1;
-        if let Some(fp) = &mut self.fingerprint {
-            fp.update(line);
-        }
+        self.units.fingerprint()
     }
 
     /// Consumes up to `n` raw lines without parsing them (they still
-    /// count toward [`lines_read`](SliceReader::lines_read) and the
+    /// count toward [`lines_read`](LineStream::lines_read) and the
     /// fingerprint). Returns how many lines were actually available.
     ///
     /// # Errors
     ///
-    /// Rejects invalid UTF-8, like [`Reader::skip_raw_lines`].
+    /// Propagates I/O errors and rejects invalid UTF-8, like
+    /// [`Reader::skip_raw_lines`].
     pub fn skip_raw_lines(&mut self, n: u64) -> std::io::Result<u64> {
         let mut skipped = 0;
-        while skipped < n {
-            let Some(raw) = self.peek_raw_line() else { break };
-            if std::str::from_utf8(raw).is_err() {
-                self.pos += raw.len();
-                return Err(invalid_utf8());
-            }
-            self.consume(raw);
+        while skipped < n && self.units.next_line()?.is_some() {
             skipped += 1;
         }
         Ok(skipped)
     }
 }
 
-fn invalid_utf8() -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-}
-
-impl Iterator for SliceReader<'_> {
+impl<R: Read> Iterator for LineStream<R> {
     type Item = Result<StreamRecord, NdjsonError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let raw = self.peek_raw_line()?;
-            let Ok(text) = std::str::from_utf8(raw) else {
-                // Mirror `read_line`: the bad bytes are consumed from the
-                // source but neither counted nor fingerprinted.
-                self.pos += raw.len();
-                return Some(Err(NdjsonError::Io(invalid_utf8())));
+            let (line, text) = match self.units.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e.into())),
             };
-            self.consume(raw);
             let text = text.trim();
             if text.is_empty() {
                 continue;
             }
-            return Some(parse_line_bytes(text.as_bytes()).map_err(|source| {
-                NdjsonError::Parse { line: self.line as usize, source }
-            }));
+            return Some(
+                parse_line_bytes(text.as_bytes())
+                    .map_err(|source| NdjsonError::Parse { line: line as usize, source }),
+            );
         }
     }
 }
@@ -888,7 +866,7 @@ impl Iterator for SliceReader<'_> {
 ///
 /// Returns [`NdjsonError`] on I/O failure or the first malformed record.
 pub fn read_stream(path: impl AsRef<Path>) -> Result<Vec<StreamRecord>, NdjsonError> {
-    Reader::new(BufReader::new(fs::File::open(path)?)).collect()
+    LineStream::new(fs::File::open(path)?).collect()
 }
 
 /// Writes records as NDJSON, one per line.

@@ -6,13 +6,57 @@
 //! the first error and on the resume fingerprint chain. This suite is
 //! part of the acceptance gate for the columnar ingest path: the serde
 //! decoder stays in the tree as the executable specification the fast
-//! path is judged against.
+//! path is judged against. The chunked readers every `kav stream` and
+//! `kav serve` input goes through (`LineStream`, `FrameStream`) are held
+//! to the same standard, fed by a source that yields a few bytes per read.
 
-use k_atomicity::history::frame::{FrameReader, FrameWriter, FRAME_LEN, FRAME_LEN_V2};
+use k_atomicity::history::frame::{FrameReader, FrameStream, FrameWriter, FRAME_LEN, FRAME_LEN_V2};
 use k_atomicity::history::fxhash::Fingerprint;
 use k_atomicity::history::ndjson::{self, NdjsonError, StreamRecord};
-use k_atomicity::history::{OpKind, Time, Value, Weight};
+use k_atomicity::history::{OpKind, Operation, Time, Value, Weight};
 use proptest::prelude::*;
+use std::io::Read;
+
+/// A [`Read`] that yields 1–7 bytes per call in a seeded order, so line
+/// and frame boundaries (and multi-byte characters) land anywhere in a
+/// refill of the chunked readers.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    state: u64,
+}
+
+impl<'a> Trickle<'a> {
+    fn new(bytes: &'a [u8], seed: u64) -> Self {
+        Trickle { bytes, state: seed }
+    }
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let n = (1 + (self.state >> 33) as usize % 7)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// What a reader step yielded, comparable across readers: the record,
+/// the 1-based position of a parse error, or an I/O error (`None`).
+type Step = Option<Result<StreamRecord, Option<usize>>>;
+
+fn step(item: &Option<Result<StreamRecord, NdjsonError>>) -> Step {
+    item.as_ref().map(|result| match result {
+        Ok(record) => Ok(*record),
+        Err(NdjsonError::Parse { line, .. }) => Err(Some(*line)),
+        Err(NdjsonError::Io(_)) => Err(None),
+    })
+}
 
 fn record_strategy() -> impl Strategy<Value = StreamRecord> {
     (
@@ -201,6 +245,7 @@ proptest! {
         blanks in 0usize..3,
         trailing_newline in any::<bool>(),
         shuffle_seed in any::<u64>(),
+        chunk_seed in any::<u64>(),
     ) {
         let mut lines: Vec<String> = records
             .iter()
@@ -224,8 +269,16 @@ proptest! {
             ndjson::Reader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
         let mut fast =
             ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
+        // The chunked reader, fed a few bytes per read, is the third party.
+        let mut chunked = ndjson::LineStream::with_fingerprint(
+            Trickle::new(doc.as_bytes(), chunk_seed),
+            Fingerprint::new(),
+        );
         loop {
             let (a, b) = (reference.next(), fast.next());
+            prop_assert_eq!(step(&a), step(&chunked.next()), "chunked reader diverges");
+            prop_assert_eq!(reference.lines_read(), chunked.lines_read(), "chunked line counts");
+            prop_assert_eq!(reference.fingerprint(), chunked.fingerprint(), "chunked fingerprints");
             prop_assert_eq!(
                 reference.lines_read(),
                 fast.lines_read(),
@@ -268,6 +321,7 @@ proptest! {
     fn frames_roundtrip_and_truncate_cleanly(
         records in prop::collection::vec(record_strategy(), 0..12),
         cut in 0usize..=FRAME_LEN,
+        chunk_seed in any::<u64>(),
     ) {
         // Session-tagged records need the v2 layout (the v1 writer
         // rejects tags by contract), mirroring the CLI's auto-selection.
@@ -309,6 +363,22 @@ proptest! {
         // malformed NDJSON line counts as one line.
         let consumed_tail = u64::from(!extra.is_empty());
         prop_assert_eq!(reader.frames_read(), records.len() as u64 + consumed_tail);
+
+        // The chunked reader, fed a few bytes per read, agrees with the
+        // slice reader at every step.
+        let mut slice = FrameReader::with_fingerprint(&bytes, Fingerprint::new()).unwrap();
+        let mut chunked =
+            FrameStream::with_fingerprint(Trickle::new(&bytes, chunk_seed), Fingerprint::new())
+                .unwrap();
+        loop {
+            let (a, b) = (step(&slice.next()), step(&chunked.next()));
+            prop_assert_eq!(&a, &b, "chunked frame reader diverges");
+            prop_assert_eq!(slice.frames_read(), chunked.frames_read());
+            prop_assert_eq!(slice.fingerprint(), chunked.fingerprint());
+            if a.is_none() {
+                break;
+            }
+        }
     }
 }
 
@@ -320,4 +390,168 @@ fn bad_magic_is_rejected_at_open() {
     assert!(FrameReader::new(b"{\"kind\":\"write\",\"value\":1}").is_err());
     assert!(FrameReader::new(b"KAVF9999").is_err());
     assert!(FrameReader::new(b"KAVF000").is_err(), "short magic");
+}
+
+/// Runs the serde reader, the slice reader and the chunked reader (at
+/// several chunkings) over `doc`, requiring the same step, line count and
+/// fingerprint after every call, and the same skip results.
+fn assert_ndjson_readers_agree(doc: &[u8]) {
+    for seed in 0..8u64 {
+        let mut reference = ndjson::Reader::with_fingerprint(doc, Fingerprint::new());
+        let mut slice = ndjson::SliceReader::with_fingerprint(doc, Fingerprint::new());
+        let mut chunked =
+            ndjson::LineStream::with_fingerprint(Trickle::new(doc, seed), Fingerprint::new());
+        loop {
+            let a = step(&reference.next());
+            assert_eq!(a, step(&slice.next()), "slice reader diverges");
+            assert_eq!(
+                a,
+                step(&chunked.next()),
+                "chunked reader diverges (seed {seed})"
+            );
+            assert_eq!(reference.lines_read(), slice.lines_read());
+            assert_eq!(reference.lines_read(), chunked.lines_read());
+            assert_eq!(reference.fingerprint(), slice.fingerprint());
+            assert_eq!(reference.fingerprint(), chunked.fingerprint());
+            if a.is_none() {
+                break;
+            }
+        }
+        let lines = reference.lines_read();
+        for n in [0, lines / 2, lines, lines + 1] {
+            let mut reference = ndjson::Reader::with_fingerprint(doc, Fingerprint::new());
+            let mut chunked =
+                ndjson::LineStream::with_fingerprint(Trickle::new(doc, seed), Fingerprint::new());
+            let (a, b) = (reference.skip_raw_lines(n), chunked.skip_raw_lines(n));
+            assert_eq!(a.is_ok(), b.is_ok(), "skip {n} verdicts diverge");
+            if let (Ok(a), Ok(b)) = (a, b) {
+                assert_eq!(a, b, "skip {n} counts diverge");
+            }
+            assert_eq!(reference.lines_read(), chunked.lines_read());
+            assert_eq!(reference.fingerprint(), chunked.fingerprint());
+        }
+    }
+}
+
+const GOOD_LINE: &str = "{\"key\":3,\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":2}";
+
+/// A valid line whose unknown field pads it to `len` bytes or more.
+fn padded_line(len: usize) -> String {
+    format!(
+        "{{\"kind\":\"read\",\"value\":1,\"start\":3,\"finish\":4,\"pad\":\"{}\"}}",
+        "x".repeat(len)
+    )
+}
+
+#[test]
+fn chunked_reader_handles_lines_longer_than_its_buffer() {
+    // Well past the reader's initial 64 KiB buffer, valid and malformed.
+    let long = padded_line(200_000);
+    let doc = format!("{GOOD_LINE}\n{long}\n{}\n{GOOD_LINE}", &long[..150_000]);
+    assert_ndjson_readers_agree(doc.as_bytes());
+    let records: Vec<_> = ndjson::LineStream::new(doc.as_bytes()).collect();
+    assert_eq!(records.len(), 4);
+    assert!(records[1].is_ok() && records[2].is_err() && records[3].is_ok());
+}
+
+#[test]
+fn chunked_reader_handles_crlf_line_endings() {
+    let doc = format!("{GOOD_LINE}\r\n\r\n{{ bad\r\n{GOOD_LINE}\r\n");
+    assert_ndjson_readers_agree(doc.as_bytes());
+    let mut reader = ndjson::LineStream::new(doc.as_bytes());
+    assert!(reader.next().unwrap().is_ok());
+    assert!(matches!(
+        reader.next(),
+        Some(Err(NdjsonError::Parse { line: 3, .. }))
+    ));
+    assert!(reader.next().unwrap().is_ok());
+    assert!(reader.next().is_none());
+    assert_eq!(reader.lines_read(), 4);
+}
+
+#[test]
+fn chunked_reader_handles_utf8_across_a_refill() {
+    // The first 64 KiB refill ends one byte into the interesting sequence
+    // of the second line — a valid `é`, a truncated sequence, or bytes
+    // that are never UTF-8 — even when the source fills whole buffers;
+    // the trickle puts it anywhere else.
+    let valid = "{\"kind\":\"read\",\"value\":1,\"start\":3,\"finish\":4,\"t\":\"\u{e9}\"}";
+    let cases: [(&[u8], usize); 3] = [
+        (valid.as_bytes(), valid.find('\u{e9}').unwrap()),
+        (&[0xC3, b'\n'], 0),
+        (&[b'{', 0xFF, 0xFE, b'}'], 1),
+    ];
+    for (second, at) in cases {
+        let first_len = 64 * 1024 - 1 - at;
+        let mut doc = padded_line(first_len - 1 - padded_line(0).len()).into_bytes();
+        doc.push(b'\n');
+        assert_eq!(doc.len(), first_len);
+        doc.extend_from_slice(second);
+        doc.extend_from_slice(format!("\n{GOOD_LINE}\n").as_bytes());
+        assert_ndjson_readers_agree(&doc);
+        let steps: Vec<Step> = ndjson::LineStream::new(&doc[..])
+            .map(|r| step(&Some(r)))
+            .collect();
+        let expected_second = if at > 1 {
+            Some(Ok(()))
+        } else {
+            Some(Err(None))
+        };
+        assert_eq!(steps[1].as_ref().map(|r| r.map(|_| ())), expected_second);
+    }
+}
+
+#[test]
+fn chunked_readers_handle_empty_input() {
+    assert_ndjson_readers_agree(b"");
+    let mut reader = ndjson::LineStream::with_fingerprint(&b""[..], Fingerprint::new());
+    assert!(reader.next().is_none());
+    assert_eq!(reader.lines_read(), 0);
+    assert_eq!(reader.fingerprint(), Some(Fingerprint::new().value()));
+
+    // No bytes at all is not a frame stream; the bare magic is an empty
+    // one.
+    assert!(FrameStream::new(Trickle::new(b"", 0)).is_err());
+    let magic = FrameWriter::new(Vec::new()).finish().unwrap();
+    let mut frames = FrameStream::new(Trickle::new(&magic, 0)).unwrap();
+    assert!(frames.next().is_none());
+    assert_eq!(frames.frames_read(), 0);
+}
+
+#[test]
+fn chunked_frame_reader_reports_a_truncated_final_frame() {
+    let records = [
+        StreamRecord::new(1, Operation::write(Value(1), Time(0), Time(2))),
+        StreamRecord::new(
+            2,
+            Operation::read(Value(1), Time(3), Time(5)).with_client(7),
+        ),
+    ];
+    let mut writer = FrameWriter::new_v2(Vec::new());
+    for record in &records {
+        writer.write_record(record).unwrap();
+    }
+    let mut bytes = writer.finish().unwrap();
+    bytes.truncate(bytes.len() - 5);
+    for seed in 0..8u64 {
+        let mut slice = FrameReader::with_fingerprint(&bytes, Fingerprint::new()).unwrap();
+        let mut chunked =
+            FrameStream::with_fingerprint(Trickle::new(&bytes, seed), Fingerprint::new()).unwrap();
+        assert_eq!(step(&chunked.next()), Some(Ok(records[0])));
+        assert_eq!(
+            step(&chunked.next()),
+            Some(Err(Some(2))),
+            "truncated frame 2"
+        );
+        assert!(chunked.next().is_none());
+        assert_eq!(chunked.frames_read(), 2);
+        while slice.next().is_some() {}
+        assert_eq!(slice.frames_read(), 2);
+        assert_eq!(slice.fingerprint(), chunked.fingerprint());
+        // Skipping counts the truncated tail as one frame too.
+        let mut skip =
+            FrameStream::with_fingerprint(Trickle::new(&bytes, seed), Fingerprint::new()).unwrap();
+        assert_eq!(skip.skip_raw_frames(5).unwrap(), 2);
+        assert_eq!(skip.fingerprint(), slice.fingerprint());
+    }
 }
