@@ -5,10 +5,36 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kav_core::ExhaustiveSearch;
 use kav_core::Verifier;
-use kav_history::{chunk_set, clusters, zones, HistoryStats};
+use kav_history::stream::StreamBuilder;
+use kav_history::{chunk_set, clusters, zones, HistoryStats, RawHistory};
 use kav_sim::{SimConfig, Simulation};
 use kav_weighted::{reduce_bin_packing, BinPacking};
-use kav_workloads::{ladder, random_k_atomic, RandomHistoryConfig};
+use kav_workloads::{
+    ladder, random_k_atomic, streaming_workload, RandomHistoryConfig, StreamingWorkloadConfig,
+};
+
+/// The first segment a `StreamBuilder` seals at the default window (1024)
+/// from one key of a `streaming_workload`: completion-ordered, ~1k ops,
+/// the shape `kav stream` builds a `History` from on every seal.
+fn sealed_segment() -> RawHistory {
+    const WINDOW: usize = 1024;
+    let records = streaming_workload(StreamingWorkloadConfig {
+        keys: 1,
+        ops_per_key: 4 * WINDOW,
+        seed: 5,
+        ..Default::default()
+    });
+    let mut builder = StreamBuilder::new();
+    for record in &records {
+        builder.push(record.op()).expect("generated records are well-formed");
+        if builder.resident() > 2 * WINDOW {
+            if let Some(segment) = builder.try_seal(WINDOW) {
+                return segment;
+            }
+        }
+    }
+    panic!("four windows of ops seal a segment")
+}
 
 fn bench_history_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("history_pipeline");
@@ -31,6 +57,12 @@ fn bench_history_pipeline(c: &mut Criterion) {
             b.iter(|| HistoryStats::of(h))
         });
     }
+    let segment = sealed_segment();
+    group.bench_with_input(
+        BenchmarkId::new("validate_index", format!("sealed_segment_{}", segment.len())),
+        &segment,
+        |b, raw| b.iter(|| raw.clone().into_history().unwrap()),
+    );
     group.finish();
 }
 

@@ -1,20 +1,23 @@
 //! A fast, non-cryptographic hasher for the crate's hot paths.
 //!
-//! The streaming builder and per-segment validation hash millions of
-//! small integer keys ([`Value`](crate::Value) ids, sequence numbers) per
-//! second; the standard library's SipHash is DoS-resistant but several
-//! times slower than needed. This is the Fx multiply-mix scheme used by
-//! rustc (firefox-derived): fold each word into the state with a
-//! rotate + xor + odd-constant multiply.
+//! The streaming builder hashes millions of small integer keys
+//! ([`Value`](crate::Value) ids, sequence numbers) per second; the
+//! standard library's SipHash is DoS-resistant but several times slower
+//! than needed. This is the Fx multiply-mix scheme used by rustc
+//! (firefox-derived): fold each word into the state with a rotate + xor +
+//! odd-constant multiply.
 //!
 //! **When to use it:** only for maps whose *size* is bounded by an
 //! operator-chosen parameter — the builder's buffered/pending/retired
-//! maps (≤ window resp. horizon entries) and per-segment validation maps
-//! (≤ segment length). Adversarial keys can at worst make such a map
-//! quadratic in its small bound. Maps that are both keyed by untrusted
-//! input *and* unbounded (e.g. the stream pipeline's per-key state map,
-//! one entry per distinct NDJSON key) must stay on the standard hasher:
-//! there, engineered collisions are a real flooding surface.
+//! maps (≤ window resp. horizon entries). Adversarial keys can at worst
+//! make such a map quadratic in its small bound. Maps that are both keyed
+//! by untrusted input *and* unbounded must stay on the standard hasher:
+//! there, engineered collisions are a real flooding surface. Examples are
+//! the stream pipeline's per-key state map (one entry per distinct NDJSON
+//! key) and the value maps of [`RawHistory::validate`](crate::RawHistory::validate)
+//! and [`History::from_raw`](crate::History::from_raw). A sealed segment
+//! is bounded, but the same constructor builds offline histories of any
+//! size, so those maps use SipHash for every input.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

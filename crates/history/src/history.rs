@@ -1,7 +1,7 @@
 //! Validated, indexed histories — the input type of every verifier.
 
 use crate::normalize::normalize;
-use crate::{OpId, OpKind, Operation, RawHistory, Time, ValidationError};
+use crate::{OpId, Operation, RawHistory, ValidationError, Value};
 use std::collections::HashMap;
 
 /// A validated history of operations on one register.
@@ -45,74 +45,110 @@ pub struct History {
     reads: Vec<OpId>,
     /// For each read, its dictating write; `None` for writes.
     dictating: Vec<Option<OpId>>,
-    /// For each write, its dictated reads sorted by start; empty for reads.
-    dictated: Vec<Vec<OpId>>,
+    /// Every write's dictated reads sorted by start, write after write.
+    dictated: Vec<OpId>,
+    /// Write `w`'s dictated reads are `dictated[dictated_offsets[w]..
+    /// dictated_offsets[w + 1]]`; the range is empty for reads.
+    dictated_offsets: Vec<usize>,
     max_concurrent_writes: usize,
 }
 
 impl History {
     /// Validates `raw`, applies the §II-C normalisation, and builds indexes.
     ///
+    /// This is the only constructor. It checks every §II assumption as it
+    /// indexes: proper intervals, positive weights and distinct write
+    /// values in one pass over the operations, a dictating write that the
+    /// read does not precede in a second, and distinct endpoints during
+    /// the normalising merge of the start and finish orders (see
+    /// `normalize`). Those checks cost two `n`-element sorts and one
+    /// value map. When any of them fails, the anomalies are reported by
+    /// [`RawHistory::validate`] itself, so the error lists exactly what
+    /// `validate` finds, in its order.
+    ///
     /// # Errors
     ///
     /// Returns a [`ValidationError`] listing every detected anomaly when the
     /// raw history violates the model assumptions.
     pub fn from_raw(raw: RawHistory) -> Result<Self, ValidationError> {
-        raw.validate().into_result()?;
+        History::index(raw).map_err(|raw| {
+            raw.validate()
+                .into_result()
+                .expect_err("indexing rejects only histories that validate() rejects")
+        })
+    }
 
-        // Dictating map on raw indices (write values are unique once valid).
-        // Untrusted-keyed and unbounded, like validate()'s map: standard
-        // hasher (see `crate::fxhash`'s usage rule).
-        let mut write_of_value: HashMap<crate::Value, usize> = HashMap::new();
-        for (i, op) in raw.ops.iter().enumerate() {
-            if op.is_write() {
-                write_of_value.insert(op.value, i);
-            }
-        }
-        let dictating_raw: Vec<Option<usize>> = raw
-            .ops
-            .iter()
-            .map(|op| if op.is_read() { write_of_value.get(&op.value).copied() } else { None })
-            .collect();
-
-        let ops = normalize(&raw, &dictating_raw);
+    /// Builds the history, or hands `raw` back untouched when one of the
+    /// §II checks fails.
+    fn index(raw: RawHistory) -> Result<Self, RawHistory> {
+        let mut ops = raw.ops;
         let n = ops.len();
 
-        let mut sorted_by_start: Vec<OpId> = (0..n).map(OpId).collect();
-        sorted_by_start.sort_unstable_by_key(|id| ops[id.index()].start);
-        let mut sorted_by_finish: Vec<OpId> = (0..n).map(OpId).collect();
-        sorted_by_finish.sort_unstable_by_key(|id| ops[id.index()].finish);
-
-        let writes_by_finish: Vec<OpId> = sorted_by_finish
-            .iter()
-            .copied()
-            .filter(|id| ops[id.index()].is_write())
-            .collect();
-        let reads: Vec<OpId> = (0..n).map(OpId).filter(|id| ops[id.index()].is_read()).collect();
-
-        let dictating: Vec<Option<OpId>> =
-            dictating_raw.iter().map(|d| d.map(OpId)).collect();
-        let mut dictated: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        for (i, d) in dictating.iter().enumerate() {
-            if let Some(w) = d {
-                dictated[w.index()].push(OpId(i));
+        // Proper intervals, positive weights, distinct write values. The
+        // value map is keyed by untrusted input and, offline, unbounded:
+        // standard hasher (see `crate::fxhash`'s usage rule).
+        let mut write_of_value: HashMap<Value, OpId> = HashMap::with_capacity(n);
+        let mut clean = true;
+        for (i, op) in ops.iter().enumerate() {
+            clean &= op.start < op.finish && op.weight.as_u32() != 0;
+            if op.is_write() {
+                clean &= write_of_value.insert(op.value, OpId(i)).is_none();
             }
         }
-        for list in &mut dictated {
-            list.sort_unstable_by_key(|id| ops[id.index()].start);
+        if !clean {
+            return Err(RawHistory { ops });
         }
 
-        let max_concurrent_writes = max_concurrent(&ops, OpKind::Write);
+        // Every read has a dictating write it does not precede. Count each
+        // write's dictated reads into `dictated_offsets[w + 1]`.
+        let mut reads = Vec::new();
+        let mut dictating: Vec<Option<OpId>> = vec![None; n];
+        let mut dictated_offsets = vec![0usize; n + 1];
+        for (i, op) in ops.iter().enumerate() {
+            if op.is_read() {
+                match write_of_value.get(&op.value) {
+                    Some(&w) if !op.precedes(&ops[w.index()]) => {
+                        reads.push(OpId(i));
+                        dictating[i] = Some(w);
+                        dictated_offsets[w.index() + 1] += 1;
+                    }
+                    _ => return Err(RawHistory { ops }),
+                }
+            }
+        }
+
+        let Some(orders) = normalize(&mut ops, &dictating) else {
+            return Err(RawHistory { ops });
+        };
+
+        // Dictated reads, one flat array: turn the counts into each
+        // write's first slot, then fill in start order. Afterwards
+        // `dictated_offsets[w]..dictated_offsets[w + 1]` is `w`'s range.
+        let mut next = 0;
+        for slot in &mut dictated_offsets[1..] {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        let mut dictated = vec![OpId(0); reads.len()];
+        for &id in &orders.sorted_by_start {
+            if let Some(w) = dictating[id.index()] {
+                let slot = &mut dictated_offsets[w.index() + 1];
+                dictated[*slot] = id;
+                *slot += 1;
+            }
+        }
 
         Ok(History {
             ops,
-            sorted_by_start,
-            sorted_by_finish,
-            writes_by_finish,
+            sorted_by_start: orders.sorted_by_start,
+            sorted_by_finish: orders.sorted_by_finish,
+            writes_by_finish: orders.writes_by_finish,
             reads,
             dictating,
             dictated,
-            max_concurrent_writes,
+            dictated_offsets,
+            max_concurrent_writes: orders.max_concurrent_writes,
         })
     }
 
@@ -187,7 +223,8 @@ impl History {
     /// The dictated reads of `write`, sorted by start time. Empty for reads.
     #[inline]
     pub fn dictated_reads(&self, write: OpId) -> &[OpId] {
-        &self.dictated[write.index()]
+        let w = write.index();
+        &self.dictated[self.dictated_offsets[w]..self.dictated_offsets[w + 1]]
     }
 
     /// The paper's "precedes" relation on operations of this history.
@@ -231,30 +268,10 @@ impl TryFrom<RawHistory> for History {
     }
 }
 
-/// Maximum number of simultaneously active operations of the given kind,
-/// by sweeping endpoints in time order.
-fn max_concurrent(ops: &[Operation], kind: OpKind) -> usize {
-    let mut events: Vec<(Time, i32)> = Vec::new();
-    for op in ops {
-        if op.kind == kind {
-            events.push((op.start, 1));
-            events.push((op.finish, -1));
-        }
-    }
-    events.sort_unstable();
-    let mut active = 0i32;
-    let mut max = 0i32;
-    for (_, delta) in events {
-        active += delta;
-        max = max.max(active);
-    }
-    max as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Value, Weight};
+    use crate::{Time, Weight};
 
     fn sample() -> History {
         let mut raw = RawHistory::new();

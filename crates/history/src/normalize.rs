@@ -8,6 +8,13 @@
 //! dictated reads, then re-ranks all `2n` endpoints onto the dense grid
 //! `0..2n`.
 //!
+//! Both happen in one merge of the starts and the finishes, each sorted
+//! once. Sweeping finishes in time order, the first dictated read of a
+//! write to finish is the one with the minimum finish; if the write has
+//! not finished by then, its finish is emitted right there, just below the
+//! read's. The same sweep checks that the `2n` raw endpoints are distinct
+//! and emits the start and finish orders and the write concurrency.
+//!
 //! Correctness of the repair relies on two facts:
 //!
 //! * the new finish stays above the write's start, because an anomaly-free
@@ -16,94 +23,145 @@
 //!   write is dictated by that write alone, so distinct writes shorten below
 //!   distinct read finishes.
 
-use crate::{Operation, RawHistory, Time};
+use crate::{OpId, Operation, Time};
 
-/// Sort key for one endpoint during re-ranking. `phase == 0` places a
-/// shortened write finish immediately *below* the read finish it attaches
-/// to; original endpoints use `phase == 1`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct EndpointKey {
-    time: Time,
-    phase: u8,
-    op: usize,
-    is_finish: bool,
+/// The orders the normalising sweep emits, in re-ranked time.
+pub(crate) struct Orders {
+    /// Operation ids by start.
+    pub sorted_by_start: Vec<OpId>,
+    /// Operation ids by (shortened) finish.
+    pub sorted_by_finish: Vec<OpId>,
+    /// Write ids by (shortened) finish.
+    pub writes_by_finish: Vec<OpId>,
+    /// The most writes active at any instant.
+    pub max_concurrent_writes: usize,
 }
 
-/// Applies write shortening and re-ranks all endpoints onto `0..2n`.
+/// Applies write shortening, re-ranks all endpoints onto `0..2n` in
+/// place, and returns the start and finish orders.
 ///
-/// `dictating[i]` must give, for each read `i`, the index of its dictating
-/// write (`None` for writes). The input must already be anomaly-free with
-/// pairwise distinct endpoints; both are guaranteed by
-/// [`crate::RawHistory::validate`] before [`crate::History`] calls this.
-pub(crate) fn normalize(raw: &RawHistory, dictating: &[Option<usize>]) -> Vec<Operation> {
-    let n = raw.ops.len();
+/// `dictating[i]` must give, for each read `i`, its dictating write
+/// (`None` for writes); every interval must be proper, and no read may
+/// precede its dictating write. [`crate::History::from_raw`] checks both
+/// before calling this. Returns `None`, with `ops` as they came, when two
+/// raw endpoints share a timestamp.
+pub(crate) fn normalize(ops: &mut [Operation], dictating: &[Option<OpId>]) -> Option<Orders> {
+    let n = ops.len();
+    let mut starts: Vec<(Time, usize)> = ops.iter().map(|op| op.start).zip(0..).collect();
+    let mut finishes: Vec<(Time, usize)> = ops.iter().map(|op| op.finish).zip(0..).collect();
+    starts.sort_unstable_by_key(|&(time, _)| time);
+    finishes.sort_unstable_by_key(|&(time, _)| time);
 
-    // Minimum finish among each write's dictated reads.
-    let mut min_read_finish: Vec<Option<Time>> = vec![None; n];
-    for (i, op) in raw.ops.iter().enumerate() {
-        if let Some(w) = dictating[i] {
-            let slot = &mut min_read_finish[w];
-            *slot = Some(match *slot {
-                Some(t) => t.min(op.finish),
-                None => op.finish,
-            });
-        }
-    }
-
-    let mut keys: Vec<EndpointKey> = Vec::with_capacity(2 * n);
-    for (i, op) in raw.ops.iter().enumerate() {
-        keys.push(EndpointKey { time: op.start, phase: 1, op: i, is_finish: false });
-        let finish_key = match min_read_finish[i] {
-            // Shorten: park the finish just below the earliest dictated-read
-            // finish. (Equality is impossible: endpoints are distinct.)
-            Some(min_rf) if op.finish > min_rf => {
-                EndpointKey { time: min_rf, phase: 0, op: i, is_finish: true }
+    let mut sweep = Sweep {
+        ops,
+        finished: vec![false; n],
+        rank: 0,
+        active_writes: 0,
+        orders: Orders {
+            sorted_by_start: Vec::with_capacity(n),
+            sorted_by_finish: Vec::with_capacity(n),
+            writes_by_finish: Vec::new(),
+            max_concurrent_writes: 0,
+        },
+    };
+    let mut last: Option<Time> = None;
+    let (mut s, mut f) = (0, 0);
+    while s < n || f < n {
+        let from_starts = s < n && (f == n || starts[s].0 <= finishes[f].0);
+        let (time, i) = if from_starts { starts[s] } else { finishes[f] };
+        if last.is_some_and(|last| time <= last) {
+            // Two endpoints share `time`: undo the re-ranking.
+            for &(time, i) in &starts {
+                sweep.ops[i].start = time;
             }
-            _ => EndpointKey { time: op.finish, phase: 1, op: i, is_finish: true },
-        };
-        keys.push(finish_key);
-    }
-
-    keys.sort_unstable();
-
-    let mut ops = raw.ops.clone();
-    for (rank, key) in keys.iter().enumerate() {
-        let op = &mut ops[key.op];
-        if key.is_finish {
-            op.finish = Time(rank as u64);
+            for &(time, i) in &finishes {
+                sweep.ops[i].finish = time;
+            }
+            return None;
+        }
+        last = Some(time);
+        if from_starts {
+            s += 1;
+            sweep.start(i);
         } else {
-            op.start = Time(rank as u64);
+            f += 1;
+            if sweep.finished[i] {
+                continue; // a write already shortened below a read's finish
+            }
+            if let Some(w) = dictating[i] {
+                if !sweep.finished[w.index()] {
+                    sweep.finish(w.index());
+                }
+            }
+            sweep.finish(i);
+        }
+    }
+    debug_assert!(sweep.ops.iter().all(|op| op.start < op.finish));
+    Some(sweep.orders)
+}
+
+/// The state of the merge in [`normalize`].
+struct Sweep<'a> {
+    ops: &'a mut [Operation],
+    finished: Vec<bool>,
+    /// The next dense timestamp.
+    rank: u64,
+    active_writes: usize,
+    orders: Orders,
+}
+
+impl Sweep<'_> {
+    fn start(&mut self, i: usize) {
+        self.ops[i].start = Time(self.rank);
+        self.rank += 1;
+        self.orders.sorted_by_start.push(OpId(i));
+        if self.ops[i].is_write() {
+            self.active_writes += 1;
+            self.orders.max_concurrent_writes =
+                self.orders.max_concurrent_writes.max(self.active_writes);
         }
     }
 
-    debug_assert!(ops.iter().all(|op| op.start < op.finish));
-    ops
+    fn finish(&mut self, i: usize) {
+        self.ops[i].finish = Time(self.rank);
+        self.rank += 1;
+        self.finished[i] = true;
+        self.orders.sorted_by_finish.push(OpId(i));
+        if self.ops[i].is_write() {
+            self.orders.writes_by_finish.push(OpId(i));
+            self.active_writes -= 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RawHistory, Time, Value};
+    use crate::{RawHistory, Value};
 
-    fn dictating_map(raw: &RawHistory) -> Vec<Option<usize>> {
-        raw.ops
+    /// The normalised operations of an anomaly-free `raw`.
+    fn normalized(raw: &RawHistory) -> Vec<Operation> {
+        let dictating: Vec<Option<OpId>> = raw
+            .ops
             .iter()
             .map(|op| {
                 if op.is_read() {
-                    raw.ops.iter().position(|w| w.is_write() && w.value == op.value)
+                    raw.ops.iter().position(|w| w.is_write() && w.value == op.value).map(OpId)
                 } else {
                     None
                 }
             })
-            .collect()
+            .collect();
+        let mut ops = raw.ops.clone();
+        normalize(&mut ops, &dictating).expect("distinct endpoints");
+        ops
     }
 
     #[test]
     fn already_normalized_history_keeps_order() {
         let mut raw = RawHistory::new();
         raw.write(Value(1), Time(0), Time(10)).read(Value(1), Time(20), Time(30));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         assert!(ops[0].start < ops[0].finish);
         assert!(ops[0].finish < ops[1].start);
         assert!(ops[1].start < ops[1].finish);
@@ -121,8 +179,7 @@ mod tests {
         let mut raw = RawHistory::new();
         // Write spans the whole history; its dictated read finishes at 15.
         raw.write(Value(1), Time(0), Time(100)).read(Value(1), Time(5), Time(15));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         let (w, r) = (ops[0], ops[1]);
         assert!(w.finish < r.finish, "write must finish before its dictated read finishes");
         assert!(w.start < w.finish, "interval must stay proper");
@@ -135,8 +192,7 @@ mod tests {
         raw.write(Value(1), Time(0), Time(100)) // shortened below t=15
             .read(Value(1), Time(5), Time(15))
             .write(Value(2), Time(11), Time(13)); // unrelated write inside
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         // Order of endpoints: w1.s=0, r.s=5, w2.s=11, w2.f=13, [w1.f], r.f=15
         assert_eq!(ops[0].start, Time(0));
         assert_eq!(ops[1].start, Time(1));
@@ -153,8 +209,7 @@ mod tests {
             .read(Value(1), Time(2), Time(10))
             .write(Value(2), Time(1), Time(60))
             .read(Value(2), Time(3), Time(12));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         let mut all: Vec<u64> = ops
             .iter()
             .flat_map(|o| [o.start.as_u64(), o.finish.as_u64()])
@@ -164,5 +219,18 @@ mod tests {
         assert_eq!(all.len(), 8, "all endpoints stay distinct after shortening");
         assert!(ops[0].finish < ops[1].finish);
         assert!(ops[2].finish < ops[3].finish);
+    }
+
+    #[test]
+    fn shared_endpoint_leaves_the_operations_untouched() {
+        let mut raw = RawHistory::new();
+        raw.write(Value(1), Time(0), Time(100))
+            .read(Value(1), Time(5), Time(15))
+            .write(Value(2), Time(20), Time(30))
+            .read(Value(2), Time(30), Time(40)); // starts where its write finishes
+        let dictating = [None, Some(OpId(0)), None, Some(OpId(2))];
+        let mut ops = raw.ops.clone();
+        assert!(normalize(&mut ops, &dictating).is_none());
+        assert_eq!(ops, raw.ops, "a rejected sweep restores the raw times");
     }
 }
