@@ -353,9 +353,9 @@ fn main() {
     // Parse axis: decode cost alone, no pipeline — the serde reference
     // decoder vs the zero-copy byte-slice decoder over identical NDJSON
     // bytes, plus the binary frame decoder over the same records
-    // frame-encoded. This isolates what the columnar-ingest rework bought
-    // on the hot path (`kav stream` maps files straight into the
-    // zero-copy decoder; `--format binary` maps into the frame decoder).
+    // frame-encoded. This isolates the decode cost of the hot path (`kav
+    // stream` reads NDJSON through the zero-copy decoder, `--format binary`
+    // through the frame decoder).
     println!(
         "\n## parse throughput (decoder only, {} records per round)\n",
         records.len()

@@ -13,15 +13,17 @@
 //!
 //! The rebalancing mechanism *is* the checkpoint mechanism. For every
 //! range the coordinator keeps the last snapshot a worker acknowledged
-//! plus a replay buffer of every frame routed since. When a worker dies
-//! (any transport error), each of its ranges is re-assigned to the
-//! survivor owning the fewest ranges: the survivor resumes the acked
-//! snapshot and the coordinator re-feeds the replay — an exactly-once
-//! hand-off, so the fleet report is the one an undisturbed run produces.
+//! plus one frame buffer holding every frame routed since — those already
+//! sent to the owner and those waiting for the next batch — so each
+//! operation is encoded once. When a worker dies (any transport error),
+//! each of its ranges is re-assigned to the survivor owning the fewest
+//! ranges: the survivor resumes the acked snapshot and the coordinator
+//! re-sends the whole buffer — an exactly-once hand-off, so the fleet
+//! report is the one an undisturbed run produces.
 //! Work the dead worker did past the snapshot is deliberately lost and
 //! redone; work is never double-counted.
 //!
-//! If the replay buffer overflowed ([`FleetConfig::replay_cap`]) the
+//! If the buffer overflowed ([`FleetConfig::replay_cap`]) the
 //! chain between snapshot and present cannot be re-fed, and per-key
 //! streams now have a **gap** — feeding later frames across it could
 //! prove violations that never happened. So an unverifiable hand-off
@@ -55,9 +57,9 @@ use kav_history::frame::{encode_routed_batch, FrameBatch, KeyRange};
 use kav_history::Operation;
 use std::io::{Read, Write};
 
-/// Default bound on the per-range replay buffer, in frames. At 37 bytes a
-/// frame this caps hand-off memory near 37 MB per range while covering
-/// many checkpoint cadences' worth of traffic.
+/// Default bound on the per-range replay buffer, in frames. At 45 bytes a
+/// `KVB2` frame this caps hand-off memory near 47 MB per range while
+/// covering many checkpoint cadences' worth of traffic.
 pub const DEFAULT_REPLAY_CAP: usize = 1 << 20;
 
 /// One worker's transport, as the coordinator sees it. `kav serve` wraps
@@ -139,11 +141,13 @@ struct RangeState {
     range: KeyRange,
     /// Index into the worker table.
     worker: usize,
-    /// Frames buffered toward the next outgoing batch.
-    pending: FrameBatch,
-    /// Every frame routed since `snapshot` was acknowledged (pending ones
-    /// included) — the hand-off replay.
-    replay: FrameBatch,
+    /// Every frame routed since `snapshot` was acknowledged — the
+    /// hand-off replay — while `replay_intact`; once the replay overflowed,
+    /// only the frames not yet sent.
+    frames: FrameBatch,
+    /// How many leading `frames` the owner has already been sent; the
+    /// rest go out with the next batch.
+    sent: usize,
     /// False once the replay overflowed [`FleetConfig::replay_cap`]: the
     /// chain from `snapshot` to the present is no longer re-feedable.
     replay_intact: bool,
@@ -158,6 +162,33 @@ struct RangeState {
     /// Frames routed to this range since it was created (split-heat
     /// signal, and the `ops_routed` share for fresh assignments).
     routed: u64,
+}
+
+impl RangeState {
+    fn new(
+        range: KeyRange,
+        worker: usize,
+        snapshot: Option<PipelineSnapshot>,
+        routed: u64,
+    ) -> Self {
+        RangeState {
+            range,
+            worker,
+            frames: FrameBatch::new(),
+            sent: 0,
+            replay_intact: true,
+            broken: false,
+            snapshot,
+            routed,
+        }
+    }
+
+    /// Forgets the frames already sent: an ack superseded them, or the
+    /// replay overflowed and they can no longer be re-fed anyway.
+    fn drop_sent(&mut self) {
+        self.frames.drain_front(self.sent);
+        self.sent = 0;
+    }
 }
 
 /// The coordinator end of an audit fleet (see the module docs).
@@ -276,19 +307,9 @@ impl FleetCoordinator {
                 remaining -= share;
                 partition_snapshot(b, range, share)
             });
-            let worker = i % fleet.workers.len();
-            let state = RangeState {
-                range,
-                worker,
-                pending: FrameBatch::new(),
-                replay: FrameBatch::new(),
-                replay_intact: true,
-                broken: false,
-                routed: snapshot.as_ref().map_or(0, |s| s.ops_routed),
-                snapshot,
-            };
-            fleet.assign(worker, &state, prefix_verified)?;
-            fleet.ranges.push(state);
+            let routed = snapshot.as_ref().map_or(0, |s| s.ops_routed);
+            fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, routed));
+            fleet.assign(i, prefix_verified)?;
         }
         Ok(fleet)
     }
@@ -334,41 +355,40 @@ impl FleetCoordinator {
             self.summary.frames_dropped += 1;
             return Ok(());
         }
-        state.pending.push(key, &op);
-        if state.replay_intact {
-            if state.replay.len() < self.config.replay_cap {
-                state.replay.push(key, &op);
-            } else {
-                state.replay_intact = false;
-                state.replay.clear();
-            }
+        if state.replay_intact && state.frames.len() >= self.config.replay_cap {
+            state.replay_intact = false;
+            state.drop_sent();
         }
-        if state.pending.len() >= self.config.batch {
+        state.frames.push(key, &op);
+        if state.frames.len() - state.sent >= self.config.batch {
             self.flush_range(idx)?;
         }
         Ok(())
     }
 
-    /// Sends range `idx`'s pending batch, handing the range off (and
-    /// retrying on the new owner) if its worker died.
+    /// Sends range `idx`'s unsent frames as one batch, handing the range
+    /// off (and retrying on the new owner) if its worker died.
     fn flush_range(&mut self, idx: usize) -> Result<(), ProtocolError> {
-        if self.ranges[idx].pending.is_empty() {
+        if self.ranges[idx].sent == self.ranges[idx].frames.len() {
             return Ok(());
         }
         loop {
-            let state = &mut self.ranges[idx];
+            let state = &self.ranges[idx];
             let worker = state.worker;
-            let payload = encode_routed_batch(state.range, &state.pending);
+            let payload = encode_routed_batch(state.range, state.frames.frames_from(state.sent));
             match self.write_to(worker, tag::BATCH, &payload) {
                 Ok(()) => {
-                    self.ranges[idx].pending.clear();
+                    let state = &mut self.ranges[idx];
+                    state.sent = state.frames.len();
+                    if !state.replay_intact {
+                        state.drop_sent();
+                    }
                     return Ok(());
                 }
                 Err(_) => {
                     // The owner died mid-stream. Hand its ranges off; the
-                    // replay re-feeds everything since the last ack —
-                    // including this pending batch — so clear it rather
-                    // than re-sending it on top of the replay.
+                    // hand-off re-sends the whole buffer — this batch
+                    // included — so nothing is left unsent afterwards.
                     self.handle_worker_death(worker)?;
                 }
             }
@@ -397,13 +417,10 @@ impl FleetCoordinator {
         Ok(payload)
     }
 
-    /// Sends a range assignment to a worker.
-    fn assign(
-        &mut self,
-        worker: usize,
-        state: &RangeState,
-        prefix_verified: bool,
-    ) -> Result<(), ProtocolError> {
+    /// Sends range `idx`'s assignment to its owner.
+    fn assign(&mut self, idx: usize, prefix_verified: bool) -> Result<(), ProtocolError> {
+        let state = &self.ranges[idx];
+        let worker = state.worker;
         let assignment = Assignment {
             range: state.range,
             algo: self.config.algo.clone(),
@@ -422,7 +439,7 @@ impl FleetCoordinator {
 
     /// Buries a dead worker and re-homes each of its ranges on the
     /// survivor owning the fewest, resuming from the last acked snapshot
-    /// and re-feeding the replay (see the module docs). Survivors dying
+    /// and re-sending the range's frame buffer (see the module docs). Survivors dying
     /// during the hand-off are buried the same way, recursively.
     ///
     /// # Errors
@@ -445,38 +462,27 @@ impl FleetCoordinator {
                 // transport failure (exit 2), never a verdict.
                 return Err(ProtocolError::Disconnected);
             };
-            let verified = self.ranges[idx].replay_intact;
             self.summary.hand_offs += 1;
+            let state = &mut self.ranges[idx];
+            let verified = state.replay_intact;
+            state.worker = survivor;
             if !verified {
                 self.summary.uncertified_hand_offs += 1;
-                self.ranges[idx].broken = true;
+                state.broken = true;
+                // Unsent frames past an overflowed replay cannot follow
+                // the gap either.
+                state.frames.clear();
+                state.sent = 0;
             }
-            self.ranges[idx].worker = survivor;
-            // The pending batch's frames are part of the replay (or were
-            // dropped with it); either way they must not be re-sent on
-            // top of the hand-off.
-            self.ranges[idx].pending.clear();
             let outcome: Result<(), ProtocolError> = (|| {
+                self.assign(idx, verified)?;
                 let state = &self.ranges[idx];
-                let assignment = Assignment {
-                    range: state.range,
-                    algo: self.config.algo.clone(),
-                    model: self.config.model,
-                    k: self.config.k,
-                    window: self.config.window,
-                    horizon: self.config.horizon,
-                    shards: self.config.worker_shards,
-                    batch: self.config.batch,
-                    snapshot: state.snapshot.clone(),
-                    prefix_verified: verified,
-                };
-                let payload = encode_payload(&assignment)?;
-                self.write_to(survivor, tag::ASSIGN, &payload)?;
-                if verified && !self.ranges[idx].replay.is_empty() {
-                    let payload =
-                        encode_routed_batch(self.ranges[idx].range, &self.ranges[idx].replay);
+                if !state.frames.is_empty() {
+                    let payload = encode_routed_batch(state.range, &state.frames);
                     self.write_to(survivor, tag::BATCH, &payload)?;
                 }
+                let state = &mut self.ranges[idx];
+                state.sent = state.frames.len();
                 Ok(())
             })();
             match outcome {
@@ -576,7 +582,7 @@ impl FleetCoordinator {
                     // from this snapshot. A broken range stays broken —
                     // its gap does not heal, it only gets re-acked.
                     state.snapshot = Some(snapshot.clone());
-                    state.replay.clear();
+                    state.drop_sent();
                     state.replay_intact = !state.broken;
                     parts.push(snapshot);
                 }
@@ -630,17 +636,11 @@ impl FleetCoordinator {
         let low_share = split_ops_share(&retired.snapshot, low);
         let parent_routed = self.ranges[idx].routed;
         let parent_ops = retired.snapshot.ops_routed;
-        let make_state = |child: KeyRange, ops: u64, worker: usize| RangeState {
-            range: child,
-            worker,
-            pending: FrameBatch::new(),
-            replay: FrameBatch::new(),
-            replay_intact: true,
-            broken: false,
-            snapshot: Some(partition_snapshot(&retired.snapshot, child, ops)),
-            // Heat resets proportionally so the split halves do not
-            // immediately win the next split election.
-            routed: parent_routed / 2,
+        // Heat resets proportionally so the split halves do not
+        // immediately win the next split election.
+        let make_state = |child: KeyRange, ops: u64, worker: usize| {
+            let snapshot = partition_snapshot(&retired.snapshot, child, ops);
+            RangeState::new(child, worker, Some(snapshot), parent_routed / 2)
         };
         let other = (0..self.workers.len())
             .filter(|w| self.workers[*w].adoptable())
@@ -650,11 +650,11 @@ impl FleetCoordinator {
         let high_state = make_state(high, parent_ops - low_share.min(parent_ops), other);
         self.ranges.swap_remove(idx);
         for state in [low_state, high_state] {
-            match self.assign(state.worker, &state, true) {
-                Ok(()) => self.ranges.push(state),
+            let worker = state.worker;
+            self.ranges.push(state);
+            match self.assign(self.ranges.len() - 1, true) {
+                Ok(()) => {}
                 Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                    let worker = state.worker;
-                    self.ranges.push(state);
                     self.handle_worker_death(worker)?;
                 }
                 Err(e) => return Err(e),

@@ -5,16 +5,15 @@
 //! spawns one worker thread per shard, each owning the
 //! [`OnlineVerifier`]s of the keys hashed to it.
 //!
-//! The ingest side only hashes and buffers: operations accumulate in a
-//! per-shard [`FrameBatch`] ([`PipelineConfig::batch`]) — the compact
-//! binary frame encoding of [`kav_history::frame`], one flat byte buffer
-//! instead of a `Vec` of structs — and cross the channel as one batch per
-//! flush, so the per-operation cost of ingest is a hash and a 37-byte
-//! append; channel synchronisation (the ~1.5M ops/s ceiling of
-//! per-operation sends) is amortised over the whole batch. Workers
-//! likewise receive a batch per `recv` and decode frames as they verify.
-//! Throughput then scales with shard count until the work itself (not the
-//! channel) saturates the cores.
+//! The ingest side only hashes and buffers: keyed operations accumulate
+//! in a per-shard `Vec<(u64, Operation)>` ([`PipelineConfig::batch`]) and
+//! cross the channel as one batch per flush, so the per-operation cost of
+//! ingest is a hash and one `Vec` push; channel synchronisation (the
+//! ~1.5M ops/s ceiling of per-operation sends) is amortised over the
+//! whole batch. Workers likewise receive a batch per `recv`. Operations
+//! stay plain [`Operation`]s from ingest to sealed segment: nothing is
+//! re-encoded on the way. Throughput then scales with shard count until
+//! the work itself (not the channel) saturates the cores.
 //!
 //! # Probes: snapshots and progress
 //!
@@ -34,7 +33,7 @@
 use super::{OnlineSnapshot, OnlineVerifier, SnapshotError, StreamReport};
 use crate::models::ModelId;
 use crate::Verifier;
-use kav_history::frame::{FrameBatch, KeyRange};
+use kav_history::frame::KeyRange;
 use kav_history::stream::DEPTH_BUCKETS;
 use kav_history::Operation;
 use serde::{Deserialize, Serialize};
@@ -258,9 +257,8 @@ pub struct PipelineProgress {
 type KeyReports = Vec<(u64, StreamReport)>;
 /// Keys a worker gave up on, with the error message.
 type KeyErrors = Vec<(u64, String)>;
-/// What crosses the channel in the common case: a batch of keyed ops,
-/// frame-encoded into one flat buffer.
-type Batch = FrameBatch;
+/// What crosses the channel in the common case: a batch of keyed ops.
+type Batch = Vec<(u64, Operation)>;
 
 /// A worker's answer to a probe.
 struct ShardProbe {
@@ -623,7 +621,7 @@ impl StreamPipeline {
                                 continue;
                             }
                         };
-                        for (key, op) in batch.iter() {
+                        for (key, op) in batch {
                             if failed.contains(&key) {
                                 continue;
                             }
@@ -681,7 +679,7 @@ impl StreamPipeline {
             .collect();
         StreamPipeline {
             workers,
-            buffers: (0..shards).map(|_| FrameBatch::with_capacity(batch)).collect(),
+            buffers: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
             batch,
             window,
             horizon,
@@ -734,7 +732,7 @@ impl StreamPipeline {
     pub fn push(&mut self, key: u64, op: Operation) {
         self.ops_routed += 1;
         let shard = shard_of(key, self.workers.len());
-        self.buffers[shard].push(key, &op);
+        self.buffers[shard].push((key, op));
         if self.buffers[shard].len() >= self.batch {
             self.flush_shard(shard);
         }
@@ -746,8 +744,7 @@ impl StreamPipeline {
         if self.buffers[shard].is_empty() {
             return;
         }
-        let batch =
-            std::mem::replace(&mut self.buffers[shard], FrameBatch::with_capacity(self.batch));
+        let batch = std::mem::replace(&mut self.buffers[shard], Vec::with_capacity(self.batch));
         if self.workers[shard].sender.send(Msg::Batch(batch)).is_err() {
             self.propagate_worker_death(shard);
         }

@@ -474,12 +474,12 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
                 owned.sort_by_key(|o| o.range);
             }
             tag::BATCH => {
-                let (range, batch) = decode_routed_batch(&payload)?;
+                let (range, ops) = decode_routed_batch(&payload)?;
                 let slot = owned
                     .iter_mut()
                     .find(|o| o.range == range)
                     .ok_or(ProtocolError::UnassignedRange(range))?;
-                for (key, op) in batch.iter() {
+                for (key, op) in ops {
                     slot.pipeline.push(key, op);
                 }
             }

@@ -20,20 +20,22 @@
 //! client-tagged records rather than silently dropping the tag, and
 //! [`FrameWriter::new_v2`] for v2).
 //!
-//! The format serves two roles:
+//! Frames exist only where bytes cross a file or process boundary; inside
+//! a process operations travel as plain [`Operation`]s. The format serves
+//! two roles:
 //!
-//! * **In process** — [`FrameBatch`] is the shard-channel payload of the
-//!   streaming pipeline: one flat allocation per batch instead of a
-//!   `Vec<(u64, Operation)>` per send, and the natural wire format once
-//!   shards live in other processes.
-//! * **On disk / on the wire** — a stream file is the 8-byte magic
-//!   [`FRAME_MAGIC`] followed by consecutive frames (`kav gen --format
-//!   binary`, `kav stream --format binary`). [`FrameStream`] mirrors the
-//!   NDJSON readers' accounting: frames take the place of lines in
-//!   checkpoint positions, and the resume [`Fingerprint`] chain digests
-//!   one chunk per frame — so a checkpoint records which format produced
-//!   it, and cross-format resume fails the fingerprint check instead of
-//!   silently mixing formats.
+//! * **On disk** — a stream file is the 8-byte magic [`FRAME_MAGIC`]
+//!   followed by consecutive frames (`kav gen --format binary`, `kav
+//!   stream --format binary`). [`FrameStream`] mirrors the NDJSON
+//!   readers' accounting: frames take the place of lines in checkpoint
+//!   positions, and the resume [`Fingerprint`] chain digests one chunk per
+//!   frame — so a checkpoint records which format produced it, and
+//!   cross-format resume fails the fingerprint check instead of silently
+//!   mixing formats.
+//! * **On the wire** — the fleet coordinator buffers each key range's
+//!   frames in a [`FrameBatch`] and sends them to the range's worker
+//!   process as [`encode_routed_batch`] payloads; the worker decodes each
+//!   frame once with [`decode_routed_batch`].
 
 use crate::fxhash::Fingerprint;
 use crate::ndjson::{NdjsonError, StreamRecord};
@@ -120,11 +122,8 @@ pub fn decode_frame_v2(frame: &[u8]) -> Result<(u64, Operation), u8> {
     Ok((key, op))
 }
 
-/// A batch of operations in one flat frame buffer — the streaming
-/// pipeline's shard-channel payload.
-///
-/// Frames in a batch are trusted (only [`push`](FrameBatch::push) writes
-/// them), so iteration does not re-validate.
+/// A write-side buffer of v2 frames: the fleet coordinator's per-range
+/// wire buffer, sent as [`encode_routed_batch`] payloads.
 #[derive(Clone, Debug, Default)]
 pub struct FrameBatch {
     bytes: Vec<u8>,
@@ -134,11 +133,6 @@ impl FrameBatch {
     /// An empty batch.
     pub fn new() -> Self {
         FrameBatch::default()
-    }
-
-    /// An empty batch with room for `frames` operations.
-    pub fn with_capacity(frames: usize) -> Self {
-        FrameBatch { bytes: Vec::with_capacity(frames * FRAME_LEN_V2) }
     }
 
     /// Appends one keyed operation.
@@ -161,36 +155,22 @@ impl FrameBatch {
         self.bytes.clear();
     }
 
-    /// Decodes the batch in push order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Operation)> + '_ {
-        self.bytes.chunks_exact(FRAME_LEN_V2).map(|frame| {
-            decode_frame_v2(frame).expect("FrameBatch frames are written by FrameBatch::push")
-        })
+    /// Drops the first `frames` frames, keeping the rest in order.
+    pub fn drain_front(&mut self, frames: usize) {
+        self.bytes.drain(..frames * FRAME_LEN_V2);
     }
 
-    /// The raw frame bytes (no magic, no header) — `len() * FRAME_LEN_V2`
-    /// bytes of consecutive v2 frames.
-    pub fn as_bytes(&self) -> &[u8] {
+    /// The bytes of the frames from index `first` on.
+    pub fn frames_from(&self, first: usize) -> &[u8] {
+        &self.bytes[first * FRAME_LEN_V2..]
+    }
+}
+
+/// The raw frame bytes (no magic, no header): `len() * FRAME_LEN_V2`
+/// bytes of consecutive v2 frames.
+impl AsRef<[u8]> for FrameBatch {
+    fn as_ref(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Rebuilds a batch from raw frame bytes, validating what the trusted
-    /// iterator assumes: whole frames only, every kind byte legal.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a byte length that is not a multiple of [`FRAME_LEN_V2`]
-    /// and any frame whose kind byte is neither read nor write.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, BatchError> {
-        if !bytes.len().is_multiple_of(FRAME_LEN_V2) {
-            return Err(BatchError::TruncatedFrames { bytes: bytes.len() });
-        }
-        for (i, frame) in bytes.chunks_exact(FRAME_LEN_V2).enumerate() {
-            if let Err(kind) = decode_frame_v2(frame) {
-                return Err(BatchError::BadKind { frame: i + 1, kind });
-            }
-        }
-        Ok(FrameBatch { bytes })
     }
 }
 
@@ -352,16 +332,17 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Encodes a batch with its routing header for the coordinator↔worker
-/// wire: [`BATCH_MAGIC`], the owning [`KeyRange`] (`bits` u32 LE, `prefix`
-/// u64 LE), the payload length (u32 LE), then the raw frames.
+/// Encodes consecutive v2 frames (a [`FrameBatch`], or a slice of its
+/// bytes) with their routing header for the coordinator↔worker wire:
+/// [`BATCH_MAGIC`], the owning [`KeyRange`] (`bits` u32 LE, `prefix` u64
+/// LE), the payload length (u32 LE), then the raw frames.
 ///
 /// The explicit length prefix is what lets the reader distinguish a short
 /// read (connection died mid-batch) from a complete batch, and the range
 /// header is what lets the receiving worker reject misrouted keys instead
 /// of silently auditing someone else's shard.
-pub fn encode_routed_batch(range: KeyRange, batch: &FrameBatch) -> Vec<u8> {
-    let payload = batch.as_bytes();
+pub fn encode_routed_batch(range: KeyRange, frames: &(impl AsRef<[u8]> + ?Sized)) -> Vec<u8> {
+    let payload = frames.as_ref();
     let mut out = Vec::with_capacity(BATCH_HEADER_LEN + payload.len());
     out.extend_from_slice(&BATCH_MAGIC);
     out.extend_from_slice(&range.bits.to_le_bytes());
@@ -373,13 +354,18 @@ pub fn encode_routed_batch(range: KeyRange, batch: &FrameBatch) -> Vec<u8> {
 
 /// Decodes and fully validates routed-batch bytes: magic, header
 /// completeness, declared vs actual payload length, whole frames, legal
-/// kind bytes, and **every key inside the declared range**.
+/// kind bytes, and **every key inside the declared range**. Each frame is
+/// decoded once, into the keyed operations in batch order.
 ///
 /// # Errors
 ///
-/// One [`BatchError`] per fault class; a valid batch round-trips
-/// [`encode_routed_batch`] exactly.
-pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, FrameBatch), BatchError> {
+/// One [`BatchError`] per fault class. When a batch has several faults,
+/// a payload of partial frames wins over a bad kind byte, and the first
+/// bad kind byte wins over the first foreign key. A valid batch
+/// round-trips [`encode_routed_batch`] exactly.
+pub fn decode_routed_batch(
+    bytes: &[u8],
+) -> Result<(KeyRange, Vec<(u64, Operation)>), BatchError> {
     if bytes.len() < BATCH_HEADER_LEN {
         if bytes.len() >= BATCH_MAGIC.len() && bytes[..BATCH_MAGIC.len()] != BATCH_MAGIC {
             let mut got = [0u8; 4];
@@ -405,13 +391,23 @@ pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, FrameBatch), Batch
     if payload.len() != declared {
         return Err(BatchError::TruncatedPayload { declared, actual: payload.len() });
     }
-    let batch = FrameBatch::from_bytes(payload.to_vec())?;
-    for (i, (key, _)) in batch.iter().enumerate() {
-        if !range.contains(key) {
-            return Err(BatchError::ForeignKey { frame: i + 1, key, range });
-        }
+    if !payload.len().is_multiple_of(FRAME_LEN_V2) {
+        return Err(BatchError::TruncatedFrames { bytes: payload.len() });
     }
-    Ok((range, batch))
+    let mut ops = Vec::with_capacity(payload.len() / FRAME_LEN_V2);
+    let mut foreign = None;
+    for (i, frame) in payload.chunks_exact(FRAME_LEN_V2).enumerate() {
+        let (key, op) =
+            decode_frame_v2(frame).map_err(|kind| BatchError::BadKind { frame: i + 1, kind })?;
+        if foreign.is_none() && !range.contains(key) {
+            foreign = Some(BatchError::ForeignKey { frame: i + 1, key, range });
+        }
+        ops.push((key, op));
+    }
+    match foreign {
+        Some(err) => Err(err),
+        None => Ok((range, ops)),
+    }
 }
 
 /// Streaming writer for the on-disk frame format: magic first, then one
@@ -654,17 +650,24 @@ mod tests {
 
     #[test]
     fn batch_roundtrip_preserves_push_order() {
-        let mut batch = FrameBatch::with_capacity(3);
+        let decode = |frames: &[u8]| -> Vec<StreamRecord> {
+            let bytes = encode_routed_batch(KeyRange::ALL, frames);
+            let (_, ops) = decode_routed_batch(&bytes).unwrap();
+            ops.into_iter().map(|(k, op)| StreamRecord::new(k, op)).collect()
+        };
+        let mut batch = FrameBatch::new();
         assert!(batch.is_empty());
         for record in sample() {
             batch.push(record.key, &record.op());
         }
         assert_eq!(batch.len(), 3);
-        let decoded: Vec<_> = batch.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
-        assert_eq!(decoded, sample());
+        assert_eq!(decode(batch.as_ref()), sample());
+        assert_eq!(decode(batch.frames_from(2)), sample()[2..]);
+        batch.drain_front(1);
+        assert_eq!(decode(batch.as_ref()), sample()[1..]);
         batch.clear();
         assert!(batch.is_empty());
-        assert_eq!(batch.iter().count(), 0);
+        assert!(decode(batch.as_ref()).is_empty());
     }
 
     #[test]
@@ -741,12 +744,15 @@ mod tests {
         v1.write_record(&records[1]).unwrap();
         assert_eq!(v1.finish().unwrap().len(), FRAME_MAGIC.len() + FRAME_LEN);
 
-        // Batches (always v2) preserve the tag too.
+        // Routed batches (always v2) preserve the tag too.
         let mut batch = FrameBatch::new();
         for record in &records {
             batch.push(record.key, &record.op());
         }
-        let decoded: Vec<_> = batch.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
+        let bytes = encode_routed_batch(KeyRange::ALL, &batch);
+        let (_, decoded) = decode_routed_batch(&bytes).unwrap();
+        let decoded: Vec<_> =
+            decoded.into_iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
         assert_eq!(decoded, records);
     }
 
@@ -821,7 +827,7 @@ mod tests {
         let (range, decoded) = decode_routed_batch(&bytes).unwrap();
         assert_eq!(range, left);
         let decoded: Vec<_> =
-            decoded.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
+            decoded.into_iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
         assert_eq!(decoded, in_left);
 
         // Bad magic.
@@ -861,6 +867,27 @@ mod tests {
             bad[kind_at] = 9;
             assert!(matches!(decode_routed_batch(&bad), Err(BatchError::BadKind { .. })));
         }
+
+        // Several faults in one batch: whole frames are checked first, then
+        // the first bad kind, then the first foreign key.
+        let foreign = (0..).find(|key| right.contains(*key)).unwrap();
+        let mut multi = FrameBatch::new();
+        for v in 1..=3 {
+            multi.push(foreign, &Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
+        }
+        let mut bad = encode_routed_batch(left, &multi);
+        bad[BATCH_HEADER_LEN + 2 * FRAME_LEN_V2 + 36] = 9;
+        assert_eq!(
+            decode_routed_batch(&bad).unwrap_err(),
+            BatchError::BadKind { frame: 3, kind: 9 }
+        );
+        bad.extend_from_slice(&[0; 5]);
+        let payload = (bad.len() - BATCH_HEADER_LEN) as u32;
+        bad[16..20].copy_from_slice(&payload.to_le_bytes());
+        assert_eq!(
+            decode_routed_batch(&bad).unwrap_err(),
+            BatchError::TruncatedFrames { bytes: 3 * FRAME_LEN_V2 + 5 }
+        );
     }
 
     #[test]

@@ -860,15 +860,6 @@ impl<R: Read> Iterator for LineStream<R> {
     }
 }
 
-/// Reads a whole NDJSON file into memory.
-///
-/// # Errors
-///
-/// Returns [`NdjsonError`] on I/O failure or the first malformed record.
-pub fn read_stream(path: impl AsRef<Path>) -> Result<Vec<StreamRecord>, NdjsonError> {
-    LineStream::new(fs::File::open(path)?).collect()
-}
-
 /// Writes records as NDJSON, one per line.
 ///
 /// # Errors
@@ -965,7 +956,8 @@ mod tests {
         let path = dir.join("ops.ndjson");
         let records = sample();
         write_stream(&path, &records).unwrap();
-        assert_eq!(read_stream(&path).unwrap(), records);
+        let back: Result<Vec<_>, _> = LineStream::new(fs::File::open(&path).unwrap()).collect();
+        assert_eq!(back.unwrap(), records);
         fs::remove_file(path).ok();
     }
 

@@ -116,7 +116,7 @@
 //! ```
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::{OpKind, Operation, RawHistory, Time, Value, Weight};
+use crate::{Operation, RawHistory, Time, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::error::Error;
@@ -286,71 +286,6 @@ pub struct BuilderSnapshot {
     pub peak_resident: usize,
 }
 
-/// Struct-of-arrays storage for the buffered window: one dense column per
-/// operation field plus a `head` offset, so the seal-scan and the drain
-/// sweep run over contiguous arrays instead of a `VecDeque<Operation>`.
-/// Draining a sealed prefix advances `head`; the columns compact (one
-/// memmove) only once the drained prefix dominates, keeping per-op cost
-/// amortised O(1) without a ring buffer's split-slice indexing.
-#[derive(Clone, Debug, Default)]
-struct OpColumns {
-    kinds: Vec<OpKind>,
-    values: Vec<Value>,
-    starts: Vec<Time>,
-    finishes: Vec<Time>,
-    weights: Vec<Weight>,
-    clients: Vec<u64>,
-    /// Rows before `head` are drained; row `i` of the window is `head + i`.
-    head: usize,
-}
-
-impl OpColumns {
-    fn len(&self) -> usize {
-        self.kinds.len() - self.head
-    }
-
-    fn push(&mut self, op: Operation) {
-        self.kinds.push(op.kind);
-        self.values.push(op.value);
-        self.starts.push(op.start);
-        self.finishes.push(op.finish);
-        self.weights.push(op.weight);
-        self.clients.push(op.client);
-    }
-
-    /// Reassembles row `i` (window-relative) into an [`Operation`].
-    fn get(&self, i: usize) -> Operation {
-        let j = self.head + i;
-        Operation {
-            kind: self.kinds[j],
-            value: self.values[j],
-            start: self.starts[j],
-            finish: self.finishes[j],
-            weight: self.weights[j],
-            client: self.clients[j],
-        }
-    }
-
-    /// Drops the first `count` rows of the window.
-    fn advance(&mut self, count: usize) {
-        self.head += count;
-        if self.head >= self.kinds.len() - self.head {
-            // The drained prefix is at least half the storage: compact.
-            self.kinds.drain(..self.head);
-            self.values.drain(..self.head);
-            self.starts.drain(..self.head);
-            self.finishes.drain(..self.head);
-            self.weights.drain(..self.head);
-            self.clients.drain(..self.head);
-            self.head = 0;
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = Operation> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-}
-
 /// Sentinel index of the pending-reads arena (no next node / empty list).
 const PENDING_NONE: u32 = u32::MAX;
 
@@ -486,9 +421,9 @@ impl PendingReads {
 /// duplicate endpoints that land in different segments are not detected.
 #[derive(Clone, Debug, Default)]
 pub struct StreamBuilder {
-    /// Buffered operations in arrival order, stored column-wise; row `i`
-    /// of the window has sequence number `base + i`.
-    buffer: OpColumns,
+    /// Buffered operations in arrival order; entry `i` has sequence
+    /// number `base + i`.
+    buffer: VecDeque<Operation>,
     /// Sequence number of the first buffered operation.
     base: u64,
     /// Largest finish time accepted (advances even for horizon breaches).
@@ -707,7 +642,7 @@ impl StreamBuilder {
                 self.pending_reads.push(op.value, seq);
             }
         }
-        self.buffer.push(op);
+        self.buffer.push_back(op);
         self.peak_resident = self.peak_resident.max(self.buffer.len());
         Ok(Push::Buffered)
     }
@@ -803,9 +738,8 @@ impl StreamBuilder {
         let mut sealed = RawHistory::new();
         sealed.ops.reserve(count);
         let base = self.base;
-        for i in 0..count {
-            let op = self.buffer.get(i);
-            if self.orphaned.remove(&(base + i as u64)) {
+        for (i, op) in self.buffer.drain(..count).enumerate() {
+            if !self.orphaned.is_empty() && self.orphaned.remove(&(base + i as u64)) {
                 continue; // expired orphan read: counted, not sealed
             }
             if op.is_write() {
@@ -818,7 +752,6 @@ impl StreamBuilder {
             }
             sealed.ops.push(op);
         }
-        self.buffer.advance(count);
         if let Some(horizon) = self.horizon {
             while self.retired_recent.len() > horizon {
                 let old = self.retired_recent.pop_front().expect("len > horizon >= 0");
@@ -872,7 +805,7 @@ impl StreamBuilder {
             horizon: self.horizon,
             base: self.base,
             watermark: self.watermark,
-            buffer: self.buffer.iter().collect(),
+            buffer: self.buffer.iter().copied().collect(),
             retired_recent: self.retired_recent.iter().copied().collect(),
             retired_total: self.retired_total,
             peak_retired: self.peak_retired,
@@ -990,7 +923,6 @@ impl StreamBuilder {
         let mut pending_reads = PendingReads::default();
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         let mut buffered_write_count = 0u64;
-        let mut buffer = OpColumns::default();
         for (i, op) in s.buffer.iter().enumerate() {
             let seq = s.base + i as u64;
             if op.is_write() {
@@ -1016,7 +948,6 @@ impl StreamBuilder {
             } else {
                 pending_reads.push(op.value, seq);
             }
-            buffer.push(*op);
         }
         if s.writes_accepted != s.retired_total + buffered_write_count {
             return err(format!(
@@ -1031,7 +962,7 @@ impl StreamBuilder {
         let mut depth_hist = [0u64; DEPTH_BUCKETS];
         depth_hist.copy_from_slice(&s.depth_hist);
         Ok(StreamBuilder {
-            buffer,
+            buffer: s.buffer.iter().copied().collect(),
             base: s.base,
             watermark: s.watermark,
             buffered_writes,

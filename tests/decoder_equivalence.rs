@@ -4,7 +4,7 @@
 //! malformed anywhere — both decoders must agree on the verdict, on the
 //! decoded record, and (through the readers) on the 1-based position of
 //! the first error and on the resume fingerprint chain. This suite is
-//! part of the acceptance gate for the columnar ingest path: the serde
+//! part of the acceptance gate for the zero-copy ingest path: the serde
 //! decoder stays in the tree as the executable specification the fast
 //! path is judged against. The chunked readers every `kav stream` and
 //! `kav serve` input goes through (`LineStream`, `FrameStream`) are held
