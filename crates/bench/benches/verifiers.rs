@@ -1,10 +1,15 @@
 //! Criterion benches for the verification algorithms (EXPERIMENTS.md
 //! E2–E5, E9): LBT and FZF scaling on practical and adversarial inputs,
-//! and the GK 1-AV baseline.
+//! the GK 1-AV baseline, and general-k verification (GenK against a
+//! budgeted exhaustive search) on deep-stale inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kav_core::{CandidateOrder, Fzf, GkOneAv, Lbt, LbtConfig, Verifier};
-use kav_workloads::{random_k_atomic, staircase, RandomHistoryConfig};
+use kav_core::{
+    CandidateOrder, ExhaustiveSearch, Fzf, GenK, GkOneAv, Lbt, LbtConfig, OnlineVerifier,
+    Verifier,
+};
+use kav_history::Operation;
+use kav_workloads::{deep_stale, random_k_atomic, staircase, DeepStaleConfig, RandomHistoryConfig};
 
 fn practical(ops: usize) -> kav_history::History {
     random_k_atomic(RandomHistoryConfig {
@@ -90,5 +95,45 @@ fn bench_gk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lbt_practical, bench_lbt_staircase, bench_fzf, bench_gk);
+/// Streams `ops` through a 64-op sliding window of `verifier` and returns
+/// the number of UNKNOWN segments. The window keeps every sealed segment
+/// within `MAX_SEARCH_OPS`, so the search rows measure search effort, not
+/// instant give-ups.
+fn windowed(verifier: impl Verifier, ops: &[Operation]) -> usize {
+    let mut online = OnlineVerifier::new(verifier, 64);
+    for op in ops {
+        online.push(*op).expect("deep-stale ops arrive in completion order");
+    }
+    online.freeze().expect("deep-stale streams are anomaly-free").inconclusive
+}
+
+/// General k: GenK's bound sandwich against a node-budgeted exhaustive
+/// search on the same windows of a deep-stale register (true staleness
+/// exactly k). GenK's edge over the search is the bound gap it never has
+/// to search.
+fn bench_genk_deep_stale(c: &mut Criterion) {
+    let mut group = c.benchmark_group("genk_deep_stale");
+    group.sample_size(10);
+    for k in [2u64, 3, 4] {
+        let history = deep_stale(DeepStaleConfig { k, ops_per_key: 250, ..Default::default() });
+        let mut ops = history.ops().to_vec();
+        ops.sort_by_key(|op| op.finish);
+        group.bench_with_input(BenchmarkId::new("genk", k), &ops, |b, ops| {
+            b.iter(|| assert_eq!(windowed(GenK::new(k), ops), 0))
+        });
+        group.bench_with_input(BenchmarkId::new("search", k), &ops, |b, ops| {
+            b.iter(|| windowed(ExhaustiveSearch::with_node_budget(k, 20_000), ops))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lbt_practical,
+    bench_lbt_staircase,
+    bench_fzf,
+    bench_gk,
+    bench_genk_deep_stale
+);
 criterion_main!(benches);

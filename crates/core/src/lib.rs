@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod constrained;
 mod diagnose;
 mod fzf;
@@ -78,7 +77,6 @@ mod stream;
 mod verdict;
 mod witness;
 
-pub use batch::verify_batch;
 pub use constrained::{ConstrainedReport, ConstrainedSearch};
 pub use diagnose::{diagnose, AtomicityViolation, Diagnosis};
 pub use fzf::{Fzf, FzfReport};

@@ -113,9 +113,10 @@ const RING_ENTRY_LEN: usize = 8;
 
 /// Default checkpoint cadence, in ingested operations. Chosen so that at
 /// typical single-core end-to-end throughput (~1-2M ops/s) the audit
-/// checkpoints about every half second to a second, keeping the
-/// stop-the-world snapshot cost well under 10% of ingest — see
-/// `exp_stream_throughput`'s checkpoint axis and `docs/OPERATIONS.md`.
+/// checkpoints about every half second to a second. perfbench's
+/// `ckpt-wide` workload measures what one checkpoint costs (the
+/// `core.stream.checkpoint.*` layers); `docs/OPERATIONS.md` ("The
+/// checkpoint budget") turns that into an overhead for a cadence.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1_000_000;
 
 /// Where in the input stream a checkpoint was taken.

@@ -417,6 +417,44 @@ impl FleetCoordinator {
         Ok(payload)
     }
 
+    /// The worker a range should move to: adoptable and owning the fewest
+    /// ranges.
+    fn least_loaded_adopter(&self) -> Option<usize> {
+        (0..self.workers.len())
+            .filter(|w| self.workers[*w].adoptable())
+            .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
+    }
+
+    /// Checks a SNAPSHOT or FINISH reply from `worker`, given as each
+    /// range it covers with the keys it carries there: the ranges must be
+    /// exactly those the worker owns, and every key must lie inside its
+    /// range.
+    fn check_reply<K: IntoIterator<Item = u64>>(
+        &self,
+        worker: usize,
+        parts: impl IntoIterator<Item = (KeyRange, K)>,
+    ) -> Result<(), ProtocolError> {
+        let mut got = Vec::new();
+        for (range, keys) in parts {
+            check_keys(range, keys)?;
+            got.push(range);
+        }
+        got.sort();
+        let mut owned: Vec<KeyRange> = self
+            .ranges
+            .iter()
+            .filter(|state| state.worker == worker)
+            .map(|state| state.range)
+            .collect();
+        owned.sort();
+        if owned != got {
+            return Err(ProtocolError::UnassignedRange(
+                got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
+            ));
+        }
+        Ok(())
+    }
+
     /// Sends range `idx`'s assignment to its owner.
     fn assign(&mut self, idx: usize, prefix_verified: bool) -> Result<(), ProtocolError> {
         let state = &self.ranges[idx];
@@ -454,10 +492,7 @@ impl FleetCoordinator {
             }) else {
                 return Ok(());
             };
-            let Some(survivor) = (0..self.workers.len())
-                .filter(|w| self.workers[*w].adoptable())
-                .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
-            else {
+            let Some(survivor) = self.least_loaded_adopter() else {
                 // Nobody left: the audit cannot continue. This is a
                 // transport failure (exit 2), never a verdict.
                 return Err(ProtocolError::Disconnected);
@@ -513,8 +548,9 @@ impl FleetCoordinator {
     /// # Errors
     ///
     /// [`ProtocolError`] when the fleet dies entirely or a reply violates
-    /// the protocol (non-ascending snapshot version, wrong ranges,
-    /// mismatched partition tags — each a diagnostic, never a verdict).
+    /// the protocol (non-ascending snapshot version, wrong ranges, keys
+    /// outside their range, mismatched partition tags — each a
+    /// diagnostic, never a verdict).
     pub fn snapshot_fleet(&mut self) -> Result<PipelineSnapshot, ProtocolError> {
         'retry: loop {
             for idx in 0..self.ranges.len() {
@@ -552,20 +588,7 @@ impl FleetCoordinator {
                     });
                 }
                 self.workers[worker].last_snapshot_version = reply.version;
-                let mut owned: Vec<KeyRange> = self
-                    .ranges
-                    .iter()
-                    .filter(|state| state.worker == worker)
-                    .map(|state| state.range)
-                    .collect();
-                owned.sort();
-                let mut got: Vec<KeyRange> = reply.ranges.iter().map(|r| r.range).collect();
-                got.sort();
-                if owned != got {
-                    return Err(ProtocolError::UnassignedRange(
-                        got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
-                    ));
-                }
+                self.check_reply(worker, reply.ranges.iter().map(|r| (r.range, r.keys())))?;
                 for RangeSnapshot { range, snapshot } in reply.ranges {
                     if snapshot.partition != Some(range) {
                         return Err(ProtocolError::PartitionMismatch {
@@ -632,6 +655,7 @@ impl FleetCoordinator {
                 snapshot: retired.snapshot.partition,
             });
         }
+        check_keys(range, retired.keys())?;
         let (low, high) = range.split();
         let low_share = split_ops_share(&retired.snapshot, low);
         let parent_routed = self.ranges[idx].routed;
@@ -642,10 +666,7 @@ impl FleetCoordinator {
             let snapshot = partition_snapshot(&retired.snapshot, child, ops);
             RangeState::new(child, worker, Some(snapshot), parent_routed / 2)
         };
-        let other = (0..self.workers.len())
-            .filter(|w| self.workers[*w].adoptable())
-            .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
-            .ok_or(ProtocolError::Disconnected)?;
+        let other = self.least_loaded_adopter().ok_or(ProtocolError::Disconnected)?;
         let low_state = make_state(low, low_share.min(parent_ops), owner);
         let high_state = make_state(high, parent_ops - low_share.min(parent_ops), other);
         self.ranges.swap_remove(idx);
@@ -706,20 +727,7 @@ impl FleetCoordinator {
                 }
                 Err(e) => return Err(e),
             };
-            let mut owned: Vec<KeyRange> = self
-                .ranges
-                .iter()
-                .filter(|state| state.worker == worker)
-                .map(|state| state.range)
-                .collect();
-            owned.sort();
-            let mut got: Vec<KeyRange> = reply.ranges.iter().map(|r| r.range).collect();
-            got.sort();
-            if owned != got {
-                return Err(ProtocolError::UnassignedRange(
-                    got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
-                ));
-            }
+            self.check_reply(worker, reply.ranges.iter().map(|r| (r.range, r.keys())))?;
             for range_output in reply.ranges {
                 outputs.push(PipelineOutput {
                     keys: range_output
@@ -744,5 +752,13 @@ impl FleetCoordinator {
         }
         self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
         Ok((super::merge::merge_reports(outputs), self.summary))
+    }
+}
+
+/// Refuses a reply that files a key under a range not containing it.
+fn check_keys(range: KeyRange, keys: impl IntoIterator<Item = u64>) -> Result<(), ProtocolError> {
+    match keys.into_iter().find(|key| !range.contains(*key)) {
+        Some(key) => Err(ProtocolError::KeyOutsideRange { key, range }),
+        None => Ok(()),
     }
 }

@@ -23,11 +23,11 @@
 //! length-prefixed frames), everything else is JSON of the types below.
 //!
 //! **Validation discipline**: every fault — a truncated frame, a wrong
-//! magic, a key routed outside its declared range, a non-ascending
-//! snapshot version, a duplicate assignment — is a [`ProtocolError`],
-//! which drivers surface as an exit-2 diagnostic. A protocol fault is
-//! *unusable input*, never evidence about the store: no code path turns
-//! one into a verdict.
+//! magic, a key routed or reported outside its declared range, a
+//! non-ascending snapshot version, a duplicate assignment — is a
+//! [`ProtocolError`], which drivers surface as an exit-2 diagnostic. A
+//! protocol fault is *unusable input*, never evidence about the store: no
+//! code path turns one into a verdict.
 //!
 //! The request/reply shape is deliberately strict — a worker writes only
 //! in reply to a request, and the coordinator reads a reply immediately
@@ -124,6 +124,16 @@ pub struct RangeSnapshot {
     pub snapshot: PipelineSnapshot,
 }
 
+impl RangeSnapshot {
+    /// Every key the snapshot carries a live state, report or error for.
+    pub(super) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let snapshot = &self.snapshot;
+        (snapshot.states.iter().map(|entry| entry.key))
+            .chain(snapshot.reports.iter().map(|entry| entry.key))
+            .chain(snapshot.errors.iter().map(|entry| entry.key))
+    }
+}
+
 /// A worker's answer to SNAPSHOT: all its ranges at one consistent cut.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotReply {
@@ -144,6 +154,13 @@ pub struct RangeOutput {
     pub keys: Vec<KeyReport>,
     /// Per-key stream errors, sorted by key.
     pub errors: Vec<KeyError>,
+}
+
+impl RangeOutput {
+    /// Every key the output carries a report or error for.
+    pub(super) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.keys.iter().map(|entry| entry.key)).chain(self.errors.iter().map(|entry| entry.key))
+    }
 }
 
 /// A worker's answer to FINISH: every range's final reports. The worker
@@ -180,8 +197,17 @@ pub enum ProtocolError {
     Batch(BatchError),
     /// An ASSIGN for a range the worker already owns.
     DuplicateAssignment(KeyRange),
-    /// A BATCH or RETIRE for a range the worker does not own.
+    /// A BATCH or RETIRE for a range the worker does not own, or a reply
+    /// covering a range other than those the worker was assigned.
     UnassignedRange(KeyRange),
+    /// A reply carrying a state, report or error for a key outside the
+    /// range it is filed under — merging it could report the key twice.
+    KeyOutsideRange {
+        /// The foreign key.
+        key: u64,
+        /// The range the reply filed it under.
+        range: KeyRange,
+    },
     /// An ASSIGN whose algorithm, `k` or consistency model disagrees
     /// with the worker's verifier.
     VerifierMismatch(String),
@@ -239,6 +265,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::UnassignedRange(range) => {
                 write!(f, "message for range {range}, which this worker does not own")
+            }
+            ProtocolError::KeyOutsideRange { key, range } => {
+                write!(f, "reply files key {key} under range {range}, which does not contain it")
             }
             ProtocolError::VerifierMismatch(msg) => {
                 write!(f, "assignment disagrees with the worker's verifier: {msg}")

@@ -4,7 +4,7 @@
 //! `tests/cross_verifier_agreement.rs`.)
 
 use kav_core::{
-    check_witness, diagnose, staleness_upper_bound, verify_batch, CandidateOrder, Fzf, GkOneAv,
+    check_witness, diagnose, staleness_upper_bound, CandidateOrder, Fzf, GkOneAv,
     Lbt, LbtConfig, SearchStrategy, Verdict, Verifier,
 };
 use kav_history::transform;
@@ -69,20 +69,6 @@ proptest! {
             prop_assert!(exact <= staleness_upper_bound(&h));
             prop_assert_eq!(exact == 1, d.atomicity_violation.is_none());
             prop_assert_eq!(exact <= 2, d.failing_chunk_writes.is_none());
-        }
-    }
-
-    /// Batch verification returns position-correct verdicts under any
-    /// thread count.
-    #[test]
-    fn batch_positions_are_stable(threads in 1usize..9, seeds in prop::collection::vec(0u64..100, 1..10)) {
-        let batch: Vec<_> = seeds
-            .iter()
-            .map(|&s| random_k_atomic(RandomHistoryConfig { ops: 20, k: 2, seed: s, ..Default::default() }))
-            .collect();
-        let parallel = verify_batch(&Fzf, &batch, threads);
-        for (h, v) in batch.iter().zip(&parallel) {
-            prop_assert_eq!(v.is_k_atomic(), Fzf.verify(h).is_k_atomic());
         }
     }
 }

@@ -4,13 +4,15 @@
 //! k ∈ 1..=5, its YES verdicts must carry independently checked
 //! witnesses, and its node budget must degrade to `Inconclusive` only —
 //! never flip a verdict. Past the oracle's ceiling, a regression case
-//! pins the removed 128-op cliff.
+//! pins the removed 128-op cliff, and a streaming case pins that GenK
+//! certifies deep-stale streams at k ≥ 3 with no UNKNOWN segment.
 
 use k_atomicity::history::{History, HistoryBuilder, Operation, RawHistory, Time, Value};
 use k_atomicity::verify::{
-    check_witness, ConstrainedSearch, ExhaustiveSearch, Verdict, Verifier, MAX_SEARCH_OPS,
+    check_witness, ConstrainedSearch, ExhaustiveSearch, GenK, PipelineConfig, StreamPipeline,
+    Verdict, Verifier, DEFAULT_GAP_BUDGET, MAX_SEARCH_OPS,
 };
-use k_atomicity::workloads::{deep_stale, DeepStaleConfig};
+use k_atomicity::workloads::{deep_stale, deep_stale_stream, DeepStaleConfig};
 use proptest::prelude::*;
 
 /// Generates an arbitrary anomaly-free history, as in
@@ -151,4 +153,44 @@ fn decides_above_the_oracle_ceiling() {
         panic!("201-op segment must certify at k = 4, got {yes:?}");
     };
     check_witness(&h, &witness, 4).expect("witness must check");
+}
+
+/// Shape of the deep-stale streams below: 32 registers of ~1000 ops,
+/// under a second in a debug build.
+const KEYS: u64 = 32;
+const OPS_PER_KEY: usize = 1000;
+
+/// The open case of the paper (k ≥ 3, no known polynomial algorithm):
+/// streamed deep-stale workloads, whose true staleness is exactly k, must
+/// be certified on every key with zero UNKNOWN segments. The budget-1 run
+/// pins that GenK's bound sandwich closes these shapes on its own: a
+/// one-node escalation decides nothing, so every segment's witness upper
+/// bound must already meet k.
+#[test]
+fn genk_certifies_deep_stale_streams_with_no_unknown() {
+    for k in [3u64, 4, 5] {
+        let records = deep_stale_stream(DeepStaleConfig {
+            keys: KEYS,
+            ops_per_key: OPS_PER_KEY,
+            k,
+            seed: 11,
+            ..Default::default()
+        });
+        for budget in [Some(DEFAULT_GAP_BUDGET), Some(1)] {
+            let config =
+                PipelineConfig { shards: 4, window: 64, batch: 256, ..Default::default() };
+            let mut pipeline = StreamPipeline::new(GenK::with_gap_budget(k, budget), config);
+            for record in &records {
+                pipeline.push(record.key, record.op());
+            }
+            let output = pipeline.finish();
+            let at = format!("k = {k}, gap budget {budget:?}");
+            assert!(output.errors.is_empty(), "{at}: key errors {:?}", output.errors);
+            assert_eq!(output.keys.len(), KEYS as usize, "{at}: a key is missing");
+            for (key, report) in &output.keys {
+                assert_eq!(report.inconclusive, 0, "{at}: key {key} has UNKNOWN segments");
+                assert_eq!(report.k_atomic(), Some(true), "{at}: key {key} is not YES");
+            }
+        }
+    }
 }

@@ -9,12 +9,12 @@
 use k_atomicity::history::frame::{encode_routed_batch, FrameBatch, KeyRange};
 use k_atomicity::history::{Operation, Time, Value};
 use k_atomicity::verify::protocol::{
-    expect_preamble, read_message, tag, write_message, Assignment, RangeSnapshot,
-    SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, read_message, tag, write_message, Assignment, FinishReply, RangeOutput,
+    RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
-    worker_loop, FleetConfig, FleetCoordinator, Fzf, ModelId, PipelineConfig, ProtocolError,
-    StreamPipeline, WorkerLink,
+    worker_loop, FleetConfig, FleetCoordinator, Fzf, KeyError, KeyReport, ModelId,
+    PipelineConfig, PipelineSnapshot, ProtocolError, StreamPipeline, WorkerLink,
 };
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -236,14 +236,16 @@ fn worker_treats_a_torn_message_as_a_transport_fault() {
 // ---------------------------------------------------------------------------
 
 /// A scripted fake worker: answers the preamble, consumes assignments and
-/// replies to every SNAPSHOT with the snapshots produced by `reply` —
-/// allowing replayed versions and mis-tagged partitions.
+/// batches, and answers SNAPSHOT, RETIRE and FINISH with the reply
+/// `script` returns for the request's tag and its 1-based position among
+/// those requests — allowing replayed versions, mis-tagged partitions and
+/// foreign keys. It exits after answering FINISH.
 fn scripted_worker(
-    mut reply: impl FnMut(u64) -> SnapshotReply + Send + 'static,
+    mut script: impl FnMut(u8, u64) -> (u8, String) + Send + 'static,
 ) -> (WorkerLink, JoinHandle<()>) {
     let (coordinator_side, mut worker_side) = UnixStream::pair().expect("socketpair");
     let handle = std::thread::spawn(move || {
-        let mut probes = 0u64;
+        let mut requests = 0u64;
         if expect_preamble(&mut worker_side, COORDINATOR_MAGIC).is_err() {
             return;
         }
@@ -255,11 +257,16 @@ fn scripted_worker(
             };
             match got {
                 tag::ASSIGN | tag::BATCH => {}
-                tag::SNAPSHOT => {
-                    probes += 1;
-                    let payload = serde_json::to_string(&reply(probes)).unwrap().into_bytes();
-                    write_message(&mut worker_side, tag::SNAPSHOT_REPLY, &payload).unwrap();
-                    worker_side.flush().unwrap();
+                tag::SNAPSHOT | tag::RETIRE | tag::FINISH => {
+                    requests += 1;
+                    let (reply, payload) = script(got, requests);
+                    // The coordinator may already have hung up.
+                    if write_message(&mut worker_side, reply, payload.as_bytes()).is_err()
+                        || worker_side.flush().is_err()
+                        || got == tag::FINISH
+                    {
+                        return;
+                    }
                 }
                 _ => return,
             }
@@ -270,6 +277,13 @@ fn scripted_worker(
         reader: Box::new(coordinator_side),
     };
     (link, handle)
+}
+
+/// A script answering every SNAPSHOT probe with `reply(probe number)`.
+fn snapshot_script(
+    mut reply: impl FnMut(u64) -> SnapshotReply + Send + 'static,
+) -> impl FnMut(u8, u64) -> (u8, String) + Send + 'static {
+    move |_, probes| (tag::SNAPSHOT_REPLY, serde_json::to_string(&reply(probes)).unwrap())
 }
 
 fn fleet_config() -> FleetConfig {
@@ -287,23 +301,37 @@ fn fleet_config() -> FleetConfig {
 }
 
 /// A well-formed per-range snapshot for [`KeyRange::ALL`].
-fn tagged_snapshot() -> k_atomicity::verify::PipelineSnapshot {
+fn tagged_snapshot() -> PipelineSnapshot {
+    snapshot_with_keys(KeyRange::ALL, &[])
+}
+
+/// A snapshot tagged `range` holding live state for each of `keys`,
+/// whether or not the range contains them.
+fn snapshot_with_keys(range: KeyRange, keys: &[u64]) -> PipelineSnapshot {
     let mut pipeline = StreamPipeline::new(
         Fzf,
         PipelineConfig { shards: 1, window: 8, ..Default::default() },
     );
-    pipeline.set_partition(Some(KeyRange::ALL));
+    for &key in keys {
+        pipeline.push(key, Operation::write(Value(1), Time(0), Time(5)));
+    }
+    pipeline.set_partition(Some(range));
     pipeline.snapshot()
+}
+
+/// The smallest key `range` contains.
+fn key_in(range: KeyRange) -> u64 {
+    (0..).find(|key| range.contains(*key)).expect("every range holds some key")
 }
 
 #[test]
 fn coordinator_rejects_replayed_snapshot_versions() {
     // The fake worker answers every probe with version 1: the second
     // probe's reply must be refused (a replayed cut cannot be trusted).
-    let (link, handle) = scripted_worker(|_probes| SnapshotReply {
+    let (link, handle) = scripted_worker(snapshot_script(|_probes| SnapshotReply {
         version: 1,
         ranges: vec![RangeSnapshot { range: KeyRange::ALL, snapshot: tagged_snapshot() }],
-    });
+    }));
     let mut fleet = FleetCoordinator::new(fleet_config(), vec![link]).expect("fleet start");
     fleet.snapshot_fleet().expect("the first probe is fine");
     let err = fleet.snapshot_fleet().expect_err("a replayed version must be refused");
@@ -323,14 +351,14 @@ fn coordinator_rejects_replayed_snapshot_versions() {
 fn coordinator_rejects_mistagged_partition_snapshots() {
     // Replies are versioned correctly but the snapshot claims a foreign
     // partition: certification discipline must refuse the merge.
-    let (link, handle) = scripted_worker(|probes| {
+    let (link, handle) = scripted_worker(snapshot_script(|probes| {
         let mut snapshot = tagged_snapshot();
         snapshot.partition = Some(KeyRange::ALL.split().1); // wrong tag
         SnapshotReply {
             version: probes,
             ranges: vec![RangeSnapshot { range: KeyRange::ALL, snapshot }],
         }
-    });
+    }));
     let mut fleet = FleetCoordinator::new(fleet_config(), vec![link]).expect("fleet start");
     let err = fleet.snapshot_fleet().expect_err("a mis-tagged snapshot must be refused");
     assert!(matches!(err, ProtocolError::PartitionMismatch { .. }), "got {err:?}");
@@ -340,7 +368,7 @@ fn coordinator_rejects_mistagged_partition_snapshots() {
 
 #[test]
 fn coordinator_rejects_replies_for_unowned_ranges() {
-    let (link, handle) = scripted_worker(|probes| {
+    let (link, handle) = scripted_worker(snapshot_script(|probes| {
         let (low, _high) = KeyRange::ALL.split();
         let mut snapshot = tagged_snapshot();
         snapshot.partition = Some(low);
@@ -348,12 +376,79 @@ fn coordinator_rejects_replies_for_unowned_ranges() {
             version: probes,
             ranges: vec![RangeSnapshot { range: low, snapshot }], // owns ALL, reports low
         }
-    });
+    }));
     let mut fleet = FleetCoordinator::new(fleet_config(), vec![link]).expect("fleet start");
     let err = fleet.snapshot_fleet().expect_err("reporting foreign ranges must be refused");
     assert!(matches!(err, ProtocolError::UnassignedRange(_)), "got {err:?}");
     drop(fleet);
     handle.join().unwrap();
+}
+
+/// Two scripted workers over `KeyRange::partition(2)`: worker 0 owns the
+/// low half and answers with `low_script`; worker 1 owns the high half
+/// and answers snapshot probes and FINISH well-formed, with no keys.
+fn two_worker_fleet(
+    low_script: impl FnMut(u8, u64) -> (u8, String) + Send + 'static,
+) -> (FleetCoordinator, Vec<JoinHandle<()>>) {
+    let high = KeyRange::ALL.split().1;
+    let (low_link, low_handle) = scripted_worker(low_script);
+    let (high_link, high_handle) = scripted_worker(move |request, probes| {
+        if request == tag::FINISH {
+            let ranges = vec![RangeOutput { range: high, keys: vec![], errors: vec![] }];
+            return (tag::FINISH_REPLY, serde_json::to_string(&FinishReply { ranges }).unwrap());
+        }
+        let ranges = vec![RangeSnapshot { range: high, snapshot: snapshot_with_keys(high, &[]) }];
+        let reply = SnapshotReply { version: probes, ranges };
+        (tag::SNAPSHOT_REPLY, serde_json::to_string(&reply).unwrap())
+    });
+    let fleet = FleetCoordinator::new(fleet_config(), vec![low_link, high_link])
+        .expect("fleet start");
+    (fleet, vec![low_handle, high_handle])
+}
+
+#[test]
+fn coordinator_rejects_replies_that_file_foreign_keys() {
+    // The low worker files a high key's live state, final report or error
+    // under its own range: merged, the key would be audited and reported
+    // by two owners at once.
+    let (low, high) = KeyRange::ALL.split();
+    let foreign = key_in(high);
+    let write = Operation::write(Value(1), Time(0), Time(5));
+    let state = RangeSnapshot { range: low, snapshot: snapshot_with_keys(low, &[foreign]) };
+    let mut pipeline = StreamPipeline::new(Fzf, PipelineConfig::default());
+    pipeline.push(foreign, write);
+    let report = KeyReport { key: foreign, report: pipeline.finish().keys.remove(0).1 };
+    let error = KeyError { key: foreign, error: "bad record".to_owned() };
+    let finish =
+        |keys, errors| FinishReply { ranges: vec![RangeOutput { range: low, keys, errors }] };
+    let probe = SnapshotReply { version: 1, ranges: vec![state.clone()] };
+    let replies = [
+        (tag::SNAPSHOT_REPLY, serde_json::to_string(&probe)),
+        (tag::RETIRE_REPLY, serde_json::to_string(&state)),
+        (tag::FINISH_REPLY, serde_json::to_string(&finish(vec![report], vec![]))),
+        (tag::FINISH_REPLY, serde_json::to_string(&finish(vec![], vec![error]))),
+    ];
+    for (reply, payload) in replies {
+        let payload = payload.unwrap();
+        let (err, handles) = {
+            let (mut fleet, handles) = two_worker_fleet(move |_, _| (reply, payload.clone()));
+            // Traffic makes the low range the hottest, so a split retires it.
+            fleet.push(key_in(low), write).unwrap();
+            let outcome = match reply {
+                tag::SNAPSHOT_REPLY => fleet.snapshot_fleet().map(drop),
+                tag::RETIRE_REPLY => fleet.split_hottest(),
+                _ => fleet.finish().map(drop),
+            };
+            (outcome.expect_err("a foreign key must be refused"), handles)
+        };
+        let ProtocolError::KeyOutsideRange { key, range } = err else {
+            panic!("reply tag {reply}: expected a key outside its range, got {err:?}");
+        };
+        assert_eq!((key, range), (foreign, low), "reply tag {reply}");
+        let text = err.to_string();
+        assert!(text.contains(&format!("key {foreign} under range {low}")), "{text}");
+        handles.into_iter().for_each(|h| h.join().unwrap());
+    }
 }
 
 #[test]
